@@ -167,18 +167,18 @@ ResultCache::contains(uint64_t key) const
 }
 
 bool
-ResultCache::lookup(uint64_t key, Sample &out)
+ResultCache::lookup(uint64_t key, Sample &out, const Sample *expect)
 {
     if (!enabled()) {
         ++nMisses;
         return false;
     }
-    if (peek(key, out)) {
+    if (peek(key, out, expect)) {
         ++nHits;
         return true;
     }
-    // An entry that exists but failed to parse deserves a warning
-    // (a plainly absent one does not).
+    // An entry that exists but failed to parse or names another
+    // job's point deserves a warning (a plainly absent one does not).
     std::error_code ec;
     if (fs::exists(pathOf(key), ec)) {
         ++nCorrupt;
@@ -190,7 +190,8 @@ ResultCache::lookup(uint64_t key, Sample &out)
 }
 
 bool
-ResultCache::peek(uint64_t key, Sample &out) const
+ResultCache::peek(uint64_t key, Sample &out,
+                  const Sample *expect) const
 {
     if (!enabled())
         return false;
@@ -201,6 +202,12 @@ ResultCache::peek(uint64_t key, Sample &out) const
     os << f.rdbuf();
     Sample s;
     if (!sampleFromText(os.str(), s))
+        return false;
+    if (expect && (s.workload != expect->workload ||
+                   s.config.cores != expect->config.cores ||
+                   s.config.smt != expect->config.smt ||
+                   s.freqGhz != expect->freqGhz ||
+                   s.vddVolts != expect->vddVolts))
         return false;
     out = std::move(s);
     return true;

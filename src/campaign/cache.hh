@@ -61,9 +61,12 @@ class ResultCache
 
     /**
      * Look up @p key; fills @p out and returns true on a hit.
-     * Counts toward hits()/misses().
+     * Counts toward hits()/misses(). With @p expect set, an entry
+     * whose workload, cores, smt, freq or vdd differ from *expect
+     * is corrupt: a miss the caller re-measures and overwrites.
      */
-    bool lookup(uint64_t key, Sample &out);
+    bool lookup(uint64_t key, Sample &out,
+                const Sample *expect = nullptr);
 
     /**
      * Whether an entry for @p key exists on disk, without reading
@@ -77,9 +80,11 @@ class ResultCache
      * Read the entry for @p key without touching hits()/misses().
      * Sharded measure() uses this to fill off-shard slots from
      * whatever other shards already measured, without distorting
-     * this run's cache statistics.
+     * this run's cache statistics. An entry whose identity differs
+     * from *@p expect (when set) reads as absent.
      */
-    bool peek(uint64_t key, Sample &out) const;
+    bool peek(uint64_t key, Sample &out,
+              const Sample *expect = nullptr) const;
 
     /**
      * Store a completed measurement under @p key. Returns false
@@ -93,8 +98,8 @@ class ResultCache
     /**@{*/
     size_t hits() const { return nHits.load(); }
     size_t misses() const { return nMisses.load(); }
-    /** Entries that existed on disk but failed to parse (each also
-     * counted as a miss). */
+    /** Entries that existed on disk but failed to parse or did
+     * not match their job (each also counted as a miss). */
     size_t corrupt() const { return nCorrupt.load(); }
     /**@}*/
 

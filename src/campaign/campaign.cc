@@ -11,7 +11,6 @@
 #include <cmath>
 #include <filesystem>
 #include <map>
-#include <memory>
 #include <numeric>
 #include <thread>
 
@@ -20,7 +19,6 @@
 #include "campaign/queue.hh"
 #include "microprobe/bootstrap.hh"
 #include "obs/metrics.hh"
-#include "obs/telemetry.hh"
 #include "obs/trace.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
@@ -143,18 +141,6 @@ jobCosts(const std::vector<CampaignJob> &jobs)
     return costs;
 }
 
-/** The operating point a job measures at: the machine's curve
- * point at the job's frequency, with the voltage overridden when
- * the job sweeps an off-curve vdd. */
-OperatingPoint
-jobPoint(const Machine &machine, const CampaignJob &job)
-{
-    OperatingPoint op = machine.operatingPoint(job.freqGhz);
-    if (job.vdd > 0.0)
-        op.voltage = job.vdd;
-    return op;
-}
-
 /** The jobs at @p indices, in index order. */
 std::vector<CampaignJob>
 jobsAt(const std::vector<CampaignJob> &jobs,
@@ -187,6 +173,71 @@ costAwareShardIndices(const std::vector<CampaignJob> &jobs,
     if (count < 1 || index < 0 || index >= count)
         fatal(cat("campaign: bad shard ", index, "/", count));
     return costStripedShard(jobCosts(jobs), index, count);
+}
+
+Sample
+JobExecutor::identity(const Machine &machine, const Program &prog,
+                      const CampaignJob &job)
+{
+    Sample s;
+    s.workload = prog.name;
+    s.config = job.config;
+    s.freqGhz = machine.operatingPoint(job.freqGhz).freqGhz;
+    s.vddVolts = job.vdd > 0.0 ? job.vdd : machine.voltageAt(s.freqGhz);
+    return s;
+}
+
+Sample
+JobExecutor::measure(const Machine &machine, const Program &prog,
+                     const CampaignJob &job, const Sample &id)
+{
+    if (!batch.pointsAt(machine, prog))
+        batch.point(machine, prog);
+    // The measurement salt derives from the job's content hash,
+    // never from scheduling, so repeated sensor noise matches the
+    // serial reference run and the cache exactly.
+    Sample s = makeSample(
+        prog.name, batch.run(job.config, {id.freqGhz, id.vddVolts},
+                             hashCombine(job.key, 0x5a17ull)));
+    cache.store(job.key, s);
+    return s;
+}
+
+JobExecutor::Outcome
+JobExecutor::run(const Machine &machine, const Program &prog,
+                 const CampaignJob &job)
+{
+    static obs::Counter &hits = obs::counter("cache_hits");
+    static obs::Counter &misses = obs::counter("cache_misses");
+    // lint: wallclock-ok(per-job seconds feed --calibrate only)
+    using clock = std::chrono::steady_clock;
+    const auto t0 = clock::now();
+    obs::TraceSpan span("campaign.job");
+    Outcome out;
+    Sample id = identity(machine, prog, job);
+    out.cached = cache.lookup(job.key, out.sample, &id);
+    (out.cached ? hits : misses).add();
+    if (!out.cached)
+        out.sample = measure(machine, prog, job, id);
+    out.seconds =
+        std::chrono::duration<double>(clock::now() - t0).count();
+    jobHistogram().observe(out.seconds);
+    span.note("cached", out.cached);
+    span.note("cost_est", job.cost);
+    span.note("seconds", out.seconds);
+    return out;
+}
+
+JobExecutor::Outcome
+JobExecutor::collect(const Machine &machine, const Program &prog,
+                     const CampaignJob &job)
+{
+    Outcome out;
+    Sample id = identity(machine, prog, job);
+    out.cached = cache.peek(job.key, out.sample, &id);
+    if (!out.cached)
+        out.sample = measure(machine, prog, job, id);
+    return out;
 }
 
 Campaign::Campaign(const Machine &m, CampaignSpec s)
@@ -416,33 +467,24 @@ Campaign::runJobs(const std::vector<CampaignWorkload> &workloads,
     std::atomic<int64_t> cached_cost_milli{0};
 
     // Batched execution: jobs sharing a workload and SMT mode form
-    // one group served by a decode-once Machine::Batch, whose
-    // core-simulation memo is shared across the group's core
-    // counts and frequencies (the core-level simulation depends
-    // only on the SMT mode and the effective memory latency; core
-    // count enters through counter scaling and the contention
-    // latency). Groups never span SMT modes because the memo
-    // cannot share across them. With the fast path disabled
-    // (MPROBE_NO_BATCH=1) every job forms its own group and runs
-    // the legacy engine — the batched-identity reference.
+    // one group, run back to back by one worker so its executor's
+    // Batch memo is shared across the group's core counts and
+    // frequencies (the core-level simulation depends only on the
+    // SMT mode and the effective memory latency; core count enters
+    // through counter scaling and the contention latency). Groups
+    // never span SMT modes because the memo cannot share across
+    // them.
     std::map<std::pair<size_t, int>, size_t> group_of;
     std::vector<std::vector<size_t>> groups;
-    if (simFastPathEnabled()) {
-        for (size_t i = 0; i < jobs.size(); ++i) {
-            auto key = std::make_pair(jobs[i].workload,
-                                      jobs[i].config.smt);
-            auto it = group_of.find(key);
-            if (it == group_of.end()) {
-                group_of.emplace(key, groups.size());
-                groups.push_back({i});
-            } else {
-                groups[it->second].push_back(i);
-            }
-        }
-    } else {
-        groups.reserve(jobs.size());
-        for (size_t i = 0; i < jobs.size(); ++i)
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        auto key = std::make_pair(jobs[i].workload, jobs[i].config.smt);
+        auto it = group_of.find(key);
+        if (it == group_of.end()) {
+            group_of.emplace(key, groups.size());
             groups.push_back({i});
+        } else {
+            groups[it->second].push_back(i);
+        }
     }
 
     // Longest-first draining at both levels: the costliest groups
@@ -473,97 +515,73 @@ Campaign::runJobs(const std::vector<CampaignWorkload> &workloads,
     out.samples.resize(jobs.size());
     out.seconds.assign(jobs.size(), 0.0);
     out.cached.assign(jobs.size(), 0);
-    parallelFor(spec.threads, groups.size(), [&](size_t q) {
-        // One decode per group, deferred until a member misses the
-        // cache: an all-hit group never decodes or simulates.
-        std::unique_ptr<Machine::Batch> batch;
-        for (size_t i : groups[exec_order[q]]) {
-            const CampaignJob &job = jobs[i];
-            const auto jt0 = clock::now();
-            {
-                obs::TraceSpan jspan("campaign.job");
-                Sample s;
-                if (cache.lookup(job.key, s)) {
-                    obs::counter("cache_hits").add();
-                    out.samples[i] = std::move(s);
-                    out.cached[i] = 1;
-                    ++cached;
-                } else {
-                    obs::counter("cache_misses").add();
-                    const Program &prog =
-                        workloads[job.workload].program;
-                    // The measurement salt derives from the job's
-                    // content hash, never from scheduling, so
-                    // repeated sensor noise matches the serial
-                    // reference run and the cache exactly.
-                    uint64_t salt = hashCombine(job.key, 0x5a17ull);
-                    if (!batch)
-                        batch.reset(
-                            new Machine::Batch(machine, prog));
-                    out.samples[i] = makeSample(
-                        prog.name,
-                        batch->run(job.config,
-                                   jobPoint(machine, job), salt));
-                    cache.store(job.key, out.samples[i]);
-                }
-                out.seconds[i] =
-                    std::chrono::duration<double>(clock::now() -
-                                                  jt0)
-                        .count();
-                jobHistogram().observe(out.seconds[i]);
-                jspan.note("cached", out.cached[i]);
-                jspan.note("cost_est", job.cost);
-                jspan.note("seconds", out.seconds[i]);
+    // Execute one job into its slot and report progress.
+    auto runOne = [&](JobExecutor &exec, size_t i) {
+        const CampaignJob &job = jobs[i];
+        JobExecutor::Outcome o =
+            exec.run(machine, workloads[job.workload].program, job);
+        out.samples[i] = std::move(o.sample);
+        out.cached[i] = o.cached;
+        out.seconds[i] = o.seconds;
+        if (o.cached)
+            ++cached;
+        (o.cached ? cached_cost_milli : cold_cost_milli)
+            .fetch_add(static_cast<int64_t>(
+                std::llround(job.cost * 1000.0)));
+        size_t k = ++done;
+        if (every_ms <= 0 || k == jobs.size())
+            return;
+        int64_t elapsed =
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                clock::now() - t0)
+                .count();
+        int64_t deadline = next_report_ms.load();
+        if (elapsed >= deadline &&
+            next_report_ms.compare_exchange_strong(deadline,
+                                                   elapsed + every_ms)) {
+            // ETA from the cold cost actually retired so far, not
+            // from job counts: with mixed configs the heavy jobs run
+            // first, so count-based estimates would overshoot (and
+            // cache hits would make everything look free).
+            double cold_cost =
+                static_cast<double>(cold_cost_milli.load()) / 1000.0;
+            double remaining =
+                total_cost - cold_cost -
+                static_cast<double>(cached_cost_milli.load()) / 1000.0;
+            // A degenerate observed rate — an all-cached or
+            // instant-job prefix has retired no cold cost yet, or the
+            // clock has not advanced — cannot support an estimate;
+            // say so instead of printing a nonsense number (a 0-cost
+            // rate would divide to inf; a negative remainder would
+            // print "-3s left").
+            std::string eta = ", warming up";
+            if (cold_cost > 0.0 && elapsed > 0) {
+                double rate =
+                    cold_cost / (static_cast<double>(elapsed) / 1000.0);
+                if (rate > 0.0 && std::isfinite(rate))
+                    eta = cat(", ~",
+                              std::lround(std::max(0.0, remaining) /
+                                          rate),
+                              "s left");
             }
-            (out.cached[i] ? cached_cost_milli : cold_cost_milli)
-                .fetch_add(static_cast<int64_t>(
-                    std::llround(job.cost * 1000.0)));
-            size_t k = ++done;
-            if (every_ms <= 0 || k == jobs.size())
-                continue;
-            int64_t elapsed =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    clock::now() - t0)
-                    .count();
-            int64_t deadline = next_report_ms.load();
-            if (elapsed >= deadline &&
-                next_report_ms.compare_exchange_strong(
-                    deadline, elapsed + every_ms)) {
-                // ETA from the cold cost actually retired so far, not
-                // from job counts: with mixed configs the heavy jobs
-                // run first, so count-based estimates would overshoot
-                // (and cache hits would make everything look free).
-                double cold_cost = static_cast<double>(
-                                       cold_cost_milli.load()) /
-                                   1000.0;
-                double remaining =
-                    total_cost - cold_cost -
-                    static_cast<double>(cached_cost_milli.load()) /
-                        1000.0;
-                // A degenerate observed rate — an all-cached or
-                // instant-job prefix has retired no cold cost yet, or
-                // the clock has not advanced — cannot support an
-                // estimate; say so instead of printing a nonsense
-                // number (a 0-cost rate would divide to inf; a
-                // negative remainder would print "-3s left").
-                std::string eta = ", warming up";
-                if (cold_cost > 0.0 && elapsed > 0) {
-                    double rate =
-                        cold_cost /
-                        (static_cast<double>(elapsed) / 1000.0);
-                    if (rate > 0.0 && std::isfinite(rate))
-                        eta = cat(", ~",
-                                  std::lround(
-                                      std::max(0.0, remaining) /
-                                      rate),
-                                  "s left");
-                }
-                inform(cat("campaign: ", k, " of ", jobs.size(),
-                           " jobs done, ", cached.load(), " cached",
-                           eta, shard_tag));
-            }
+            inform(cat("campaign: ", k, " of ", jobs.size(),
+                       " jobs done, ", cached.load(), " cached", eta,
+                       shard_tag));
         }
-    }, "campaign measure");
+    };
+
+    // One executor (and so one Batch) per worker; workers pull whole
+    // groups off a shared cursor.
+    std::atomic<size_t> next_group{0};
+    auto worker = [&](size_t) {
+        JobExecutor exec(cache);
+        for (size_t q; (q = next_group++) < groups.size();)
+            for (size_t i : groups[exec_order[q]])
+                runOne(exec, i);
+    };
+    parallelFor(spec.threads,
+                std::min(static_cast<size_t>(spec.threads), groups.size()),
+                worker, "campaign measure");
     return out;
 }
 
@@ -601,32 +619,6 @@ Campaign::runClaimed(
     out.seconds.assign(jobs.size(), 0.0);
     out.cached.assign(jobs.size(), 0);
 
-    // Fleet telemetry: this worker's live snapshot, published
-    // atomically next to its claim files so peers and status
-    // observers can aggregate the fleet without talking to it.
-    // Strictly observability — nothing reads it back into job
-    // selection or results.
-    auto publishTelemetry = [&](const ClaimDir &cd,
-                                double elapsed_s,
-                                size_t jobs_run) {
-        obs::WorkerTelemetry t;
-        t.worker = cd.workerId();
-        t.jobs = jobs_run;
-        t.hits = cache.hits();
-        t.acquired = cd.acquired();
-        t.stolen = cd.stolen();
-        t.seconds = elapsed_s;
-        t.jobsPerSecond = elapsed_s > 0.0
-                              ? static_cast<double>(jobs_run) /
-                                    elapsed_s
-                              : 0.0;
-        size_t looked = cache.hits() + cache.misses();
-        t.hitRate = looked > 0 ? static_cast<double>(cache.hits()) /
-                                     static_cast<double>(looked)
-                               : 0.0;
-        obs::writeWorkerTelemetry(spec.cacheDir, t);
-    };
-
     // Every worker thread loops pull -> run -> complete until the
     // pool is drained; parallelFor's index is just a worker id.
     // Unlike runJobs there is no per-index slot discipline — a
@@ -634,6 +626,7 @@ Campaign::runClaimed(
     // exactly one thread process-wide (ClaimedQueue::running) and
     // fleet-wide (the claim file), so slot writes never race.
     auto drain = [&](size_t) {
+        JobExecutor exec(cache);
         for (;;) {
             size_t i = 0;
             ClaimedQueue::Pull pull = queue.next(i);
@@ -645,38 +638,14 @@ Campaign::runClaimed(
                         spec.claimPollSeconds));
                 continue;
             }
+            // A hit is rare but possible: a peer cached the job
+            // between our queue scan and the claim acquisition.
             const CampaignJob &job = jobs[i];
-            const auto jt0 = clock::now();
-            {
-                obs::TraceSpan jspan("campaign.job");
-                Sample s;
-                if (cache.lookup(job.key, s)) {
-                    // Rare but possible: a peer cached the job
-                    // between our queue scan and the claim
-                    // acquisition.
-                    obs::counter("cache_hits").add();
-                    out.samples[i] = std::move(s);
-                    out.cached[i] = 1;
-                } else {
-                    obs::counter("cache_misses").add();
-                    const Program &prog =
-                        workloads[job.workload].program;
-                    uint64_t salt = hashCombine(job.key, 0x5a17ull);
-                    out.samples[i] = makeSample(
-                        prog.name,
-                        machine.run(prog, job.config,
-                                    jobPoint(machine, job), salt));
-                    cache.store(job.key, out.samples[i]);
-                }
-                out.seconds[i] =
-                    std::chrono::duration<double>(clock::now() -
-                                                  jt0)
-                        .count();
-                jobHistogram().observe(out.seconds[i]);
-                jspan.note("cached", out.cached[i]);
-                jspan.note("cost_est", job.cost);
-                jspan.note("seconds", out.seconds[i]);
-            }
+            JobExecutor::Outcome o =
+                exec.run(machine, workloads[job.workload].program, job);
+            out.samples[i] = std::move(o.sample);
+            out.cached[i] = o.cached;
+            out.seconds[i] = o.seconds;
             // Store first, release second: once the claim is gone
             // the job must already be skippable via the cache.
             queue.complete(i);
@@ -700,10 +669,8 @@ Campaign::runClaimed(
                 // The progress reporter doubles as the telemetry
                 // heartbeat: the CAS elected exactly one thread,
                 // and atomicWriteFile keeps readers tear-free.
-                publishTelemetry(claimdir,
-                                 static_cast<double>(elapsed) /
-                                     1000.0,
-                                 k);
+                claimdir.publishTelemetry(
+                    cache, k, static_cast<double>(elapsed) / 1000.0);
             }
         }
     };
@@ -714,43 +681,34 @@ Campaign::runClaimed(
     // The pool is drained: every job of the campaign is in the
     // cache. Load the peer-measured slots so this worker returns
     // the complete sample set in job order — its export is
-    // byte-identical to an unsharded run's.
+    // byte-identical to an unsharded run's. A result that vanished
+    // or went corrupt between drain and collection is re-measured
+    // locally rather than exported as a hole.
+    JobExecutor collector(cache);
     size_t holes = 0;
     for (size_t i = 0; i < jobs.size(); ++i) {
         if (!out.samples[i].rates.empty())
             continue;
-        if (cache.peek(jobs[i].key, out.samples[i])) {
-            out.cached[i] = 1;
-            continue;
-        }
-        // A cached result that vanished or went corrupt between
-        // drain and collection; re-measure it locally rather than
-        // exporting a hole.
-        const CampaignJob &job = jobs[i];
-        const Program &prog = workloads[job.workload].program;
-        uint64_t salt = hashCombine(job.key, 0x5a17ull);
-        out.samples[i] = makeSample(
-            prog.name,
-            machine.run(prog, job.config,
-                        jobPoint(machine, job), salt));
-        cache.store(job.key, out.samples[i]);
-        ++holes;
+        JobExecutor::Outcome o = collector.collect(
+            machine, workloads[jobs[i].workload].program, jobs[i]);
+        out.samples[i] = std::move(o.sample);
+        out.cached[i] = o.cached;
+        if (!o.cached)
+            ++holes;
     }
     if (holes > 0)
         warn(cat("campaign: serve: ", holes,
-                 " cached results vanished before collection and "
-                 "were re-measured"));
+                 " cached results were missing or did not match "
+                 "their jobs at collection and were re-measured"));
     inform(cat("campaign: serve: pool drained; this worker ran ",
                ran.load(), " of ", jobs.size(), " jobs (",
                claimdir.stolen(), " stolen from expired claims, ",
                queue.completedByPeers(), " measured by peers)"));
     // Final telemetry snapshot: the worker's last word stays on
     // disk (age tells observers it has finished or died).
-    publishTelemetry(claimdir,
-                     std::chrono::duration<double>(clock::now() -
-                                                   t0)
-                         .count(),
-                     ran.load());
+    claimdir.publishTelemetry(
+        cache, ran.load(),
+        std::chrono::duration<double>(clock::now() - t0).count());
     out.claimsAcquired = claimdir.acquired();
     out.claimsStolen = claimdir.stolen();
     return out;
@@ -949,17 +907,12 @@ Campaign::measure(
     for (size_t i = 0; i < jobs.size(); ++i) {
         if (filled[i])
             continue;
-        if (cache.peek(jobs[i].key, out[i]))
+        Sample expect = JobExecutor::identity(
+            machine, workloads[jobs[i].workload].program, jobs[i]);
+        if (cache.peek(jobs[i].key, out[i], &expect))
             continue;
-        Sample &s = out[i];
-        s.workload = workloads[jobs[i].workload].program.name;
-        s.config = jobs[i].config;
-        s.freqGhz = jobs[i].freqGhz > 0.0 ? jobs[i].freqGhz
-                                          : machine.clockGhz();
-        s.vddVolts = jobs[i].vdd > 0.0
-                         ? jobs[i].vdd
-                         : machine.voltageAt(s.freqGhz);
-        s.rates.assign(dynamicFeatureNames().size(), 0.0);
+        out[i] = std::move(expect);
+        out[i].rates.assign(dynamicFeatureNames().size(), 0.0);
         ++holes;
     }
     if (holes > 0)

@@ -203,6 +203,52 @@ struct CampaignExpansion
     std::vector<CampaignJob> jobs;
 };
 
+/**
+ * The one way a campaign job executes — plain runs, --serve workers
+ * and the service alike: look it up in the result cache, otherwise
+ * measure it at its operating point with a salt derived from its
+ * key, and store the sample. Measures through one long-lived Batch,
+ * re-pointed only when a miss needs another (machine, program), so
+ * consecutive jobs of one workload share decode and memo. Not
+ * thread-safe: one executor per worker thread.
+ */
+class JobExecutor
+{
+  public:
+    explicit JobExecutor(ResultCache &c) : cache(c) {}
+
+    struct Outcome
+    {
+        Sample sample;
+        bool cached = false; ///< the sample came from the cache
+        double seconds = 0.0;
+    };
+
+    /** Execute @p job (a workload of @p prog on @p machine),
+     * recording the campaign.job span and the cache counters. */
+    Outcome run(const Machine &machine, const Program &prog,
+                const CampaignJob &job);
+
+    /** Collect @p job after its pool drained: the matching cached
+     * sample, else a fresh measurement. No statistics, no span. */
+    Outcome collect(const Machine &machine, const Program &prog,
+                    const CampaignJob &job);
+
+    /** What a sample of @p job must say it is: workload, config and
+     * the operating point it measures at, measurements zeroed. */
+    static Sample identity(const Machine &machine,
+                           const Program &prog,
+                           const CampaignJob &job);
+
+  private:
+    ResultCache &cache;
+    Machine::Batch batch;
+
+    /** Measure @p job at @p id's operating point; store it. */
+    Sample measure(const Machine &machine, const Program &prog,
+                   const CampaignJob &job, const Sample &id);
+};
+
 /** The engine: expansion, scheduling, caching, collection. */
 class Campaign
 {

@@ -16,6 +16,7 @@
 #include <sstream>
 
 #include "obs/metrics.hh"
+#include "obs/telemetry.hh"
 #include "obs/trace.hh"
 #include "util/logging.hh"
 #include "util/str.hh"
@@ -121,12 +122,14 @@ ClaimDir::tryAcquire(uint64_t key)
         if (!createClaim(path))
             return false;
     }
+    static obs::Counter &acquired_ctr = obs::counter("claims_acquired");
+    static obs::Counter &stolen_ctr = obs::counter("claims_stolen");
     ++nAcquired;
-    obs::counter("claims_acquired").add();
+    acquired_ctr.add();
     obs::traceInstant(stole ? "claim.steal" : "claim.acquire");
     if (stole) {
         ++nStolen;
-        obs::counter("claims_stolen").add();
+        stolen_ctr.add();
     }
     {
         MutexLock lock(heldMutex);
@@ -210,6 +213,26 @@ ClaimDir::sweepIfStale(uint64_t key)
         return false;
     std::error_code ec;
     return fs::remove(path, ec) && !ec;
+}
+
+void
+ClaimDir::publishTelemetry(const ResultCache &cache, size_t jobs,
+                           double seconds) const
+{
+    obs::WorkerTelemetry t;
+    t.worker = worker;
+    t.jobs = jobs;
+    t.hits = cache.hits();
+    t.acquired = acquired();
+    t.stolen = stolen();
+    t.seconds = seconds;
+    t.jobsPerSecond =
+        seconds > 0.0 ? static_cast<double>(jobs) / seconds : 0.0;
+    size_t looked = cache.hits() + cache.misses();
+    t.hitRate = looked > 0 ? static_cast<double>(cache.hits()) /
+                                 static_cast<double>(looked)
+                           : 0.0;
+    obs::writeWorkerTelemetry(dir, t);
 }
 
 // ----------------------------------------------------------------

@@ -144,6 +144,12 @@ class ClaimDir
     size_t stolen() const { return nStolen.load(); }
     /**@}*/
 
+    /** Publish this worker's telemetry (obs/telemetry.hh) next to
+     * its claims: @p jobs run in @p seconds, claim and @p cache
+     * statistics. Observability only; nothing reads it back. */
+    void publishTelemetry(const ResultCache &cache, size_t jobs,
+                          double seconds) const;
+
   private:
     std::string dir;
     std::string worker;

@@ -15,7 +15,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "util/fileio.hh"
-#include "util/hash.hh"
 #include "util/logging.hh"
 
 namespace mprobe
@@ -238,24 +237,17 @@ CampaignService::updateStatus()
             // byte-identical to a standalone run of the spec. A
             // cached entry gone corrupt since the drain is
             // re-measured here rather than exported as a hole.
+            JobExecutor collector(cache);
             std::vector<Sample> samples(c.jobs.size());
             for (size_t j = 0; j < c.jobs.size(); ++j) {
                 const CampaignJob &job = c.jobs[j];
-                if (cache.peek(job.key, samples[j]))
-                    continue;
-                warn(cat("service: campaign '", c.name, "': job ",
-                         j, " vanished from the cache; "
-                         "re-measuring"));
-                const Program &prog =
-                    c.workloads[job.workload].program;
-                uint64_t salt = hashCombine(job.key, 0x5a17ull);
-                samples[j] = makeSample(
-                    prog.name,
-                    c.machine.run(
-                        prog, job.config,
-                        c.machine.operatingPoint(job.freqGhz),
-                        salt));
-                cache.store(job.key, samples[j]);
+                JobExecutor::Outcome o = collector.collect(
+                    c.machine, c.workloads[job.workload].program, job);
+                if (!o.cached)
+                    warn(cat("service: campaign '", c.name, "': job ",
+                             j, " was missing from the cache or did "
+                             "not match it; re-measured"));
+                samples[j] = std::move(o.sample);
             }
             std::ostringstream csv, json;
             exportSamplesCsv(csv, samples);
@@ -298,6 +290,7 @@ CampaignService::updateStatus()
 void
 CampaignService::drainLoop()
 {
+    JobExecutor exec(cache);
     while (!stopRequested.load()) {
         size_t gi = 0;
         ClaimedQueue::Pull pull = queue.next(gi);
@@ -317,28 +310,7 @@ CampaignService::drainLoop()
         }
         ActiveCampaign &c = *ref.campaign;
         const CampaignJob &job = c.jobs[ref.job];
-        {
-            obs::TraceSpan jspan("service.job");
-            Sample s;
-            if (cache.lookup(job.key, s)) {
-                obs::counter("cache_hits").add();
-                jspan.note("cached", 1);
-            } else {
-                obs::counter("cache_misses").add();
-                jspan.note("cached", 0);
-                const Program &prog =
-                    c.workloads[job.workload].program;
-                uint64_t salt = hashCombine(job.key, 0x5a17ull);
-                s = makeSample(
-                    prog.name,
-                    c.machine.run(
-                        prog, job.config,
-                        c.machine.operatingPoint(job.freqGhz),
-                        salt));
-                cache.store(job.key, s);
-            }
-            jspan.note("cost_est", job.cost);
-        }
+        exec.run(c.machine, c.workloads[job.workload].program, job);
         jobsRun.fetch_add(1);
         queue.complete(gi);
         {
@@ -382,25 +354,9 @@ CampaignService::run()
     // watcher pass, read back (with every peer's) by updateStatus
     // into the status.json workers table.
     auto publishTelemetry = [&]() {
-        obs::WorkerTelemetry t;
-        t.worker = claims.workerId();
-        t.jobs = jobsRun.load();
-        t.hits = cache.hits();
-        t.acquired = claims.acquired();
-        t.stolen = claims.stolen();
-        t.seconds =
-            std::chrono::duration<double>(clock::now() - t0)
-                .count();
-        t.jobsPerSecond =
-            t.seconds > 0.0
-                ? static_cast<double>(t.jobs) / t.seconds
-                : 0.0;
-        size_t looked = cache.hits() + cache.misses();
-        t.hitRate = looked > 0
-                        ? static_cast<double>(cache.hits()) /
-                              static_cast<double>(looked)
-                        : 0.0;
-        obs::writeWorkerTelemetry(opts.cacheDir, t);
+        claims.publishTelemetry(
+            cache, jobsRun.load(),
+            std::chrono::duration<double>(clock::now() - t0).count());
     };
 
     while (!stopRequested.load()) {

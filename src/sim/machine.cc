@@ -170,7 +170,7 @@ Machine::run(const Program &prog, const ChipConfig &cfg,
 }
 
 void
-Machine::validateRun(const Program &prog, const ChipConfig &cfg,
+Machine::validateRun(const ChipConfig &cfg,
                      const OperatingPoint &op) const
 {
     if (cfg.cores < 1 || cfg.cores > 8)
@@ -180,9 +180,6 @@ Machine::validateRun(const Program &prog, const ChipConfig &cfg,
     if (op.freqGhz <= 0.0 || op.voltage <= 0.0)
         fatal(cat("bad operating point ", op.freqGhz, " GHz @ ",
                   op.voltage, " V"));
-    if (prog.isa != isaPtr)
-        fatal(cat("program '", prog.name,
-                  "' was generated for a different ISA"));
 }
 
 int
@@ -217,15 +214,20 @@ RunResult
 Machine::run(const Program &prog, const ChipConfig &cfg,
              const OperatingPoint &op, uint64_t salt) const
 {
-    return simFastPathEnabled() ? runDecoded(prog, cfg, op, salt)
-                                : runLegacy(prog, cfg, op, salt);
+    // A Batch of one. Callers may mutate a program in place between
+    // runs, so every call re-points (decodes afresh); the per-thread
+    // batch only keeps its scratch, which removes all steady-state
+    // allocation and cache-array construction.
+    thread_local Batch batch;
+    batch.point(*this, prog);
+    return batch.run(cfg, op, salt);
 }
 
 RunResult
 Machine::runLegacy(const Program &prog, const ChipConfig &cfg,
                    const OperatingPoint &op, uint64_t salt) const
 {
-    validateRun(prog, cfg, op);
+    validateRun(cfg, op);
 
     // Main-memory latency is fixed in nanoseconds; its cycle count
     // follows the core clock. Core/cache latencies are clock-domain
@@ -242,36 +244,6 @@ Machine::runLegacy(const Program &prog, const ChipConfig &cfg,
     if (contended > 0) {
         opts.memLatency = contended;
         core = simulateCore(exec, prog, cfg.smt, opts);
-    }
-    return finishRun(prog, cfg, op, salt, core);
-}
-
-RunResult
-Machine::runDecoded(const Program &prog, const ChipConfig &cfg,
-                    const OperatingPoint &op, uint64_t salt) const
-{
-    validateRun(prog, cfg, op);
-
-    // Decoding a ~1 K-instruction body is noise next to the
-    // millions of simulated cycles it feeds, so a single run
-    // decodes fresh every time (only Batch assumes a stable
-    // program identity); the thread-local scratch still removes
-    // all steady-state allocation and cache-array construction.
-    thread_local DecodedProgram decoded;
-    thread_local SimScratch scratch;
-    exec.decode(prog, simOpts.mispredictPenalty,
-                simOpts.transitionGateNj, decoded);
-
-    double lat_scale = op.freqGhz / params.clockGhz;
-    CoreSimOptions opts = simOpts;
-    opts.memLatency = firstPassMemLatency(lat_scale);
-    CoreResult core =
-        simulateCoreDecoded(decoded, cfg.smt, opts, scratch);
-
-    int contended = contendedMemLatency(core, cfg, lat_scale);
-    if (contended > 0) {
-        opts.memLatency = contended;
-        core = simulateCoreDecoded(decoded, cfg.smt, opts, scratch);
     }
     return finishRun(prog, cfg, op, salt, core);
 }
@@ -332,32 +304,47 @@ Machine::finishRun(const Program &prog, const ChipConfig &cfg,
     return res;
 }
 
-Machine::Batch::Batch(const Machine &machine, const Program &p)
-    : m(machine), prog(p)
+Machine::Batch::Batch(const Machine &machine, const Program &prog)
 {
+    point(machine, prog);
+}
+
+void
+Machine::Batch::point(const Machine &machine, const Program &prog)
+{
+    if (prog.isa != machine.isaPtr)
+        fatal(cat("program '", prog.name,
+                  "' was generated for a different ISA"));
+    m = &machine;
+    p = &prog;
+    memo.clear();
     // Decoded even when the fast path is currently disabled: the
     // toggle is dynamic (tests flip it), so run() must never see a
     // stale decode.
     obs::TraceSpan span("sim.decode");
-    span.note("instructions", static_cast<double>(p.size()));
-    m.exec.decode(p, m.simOpts.mispredictPenalty,
-                  m.simOpts.transitionGateNj, decoded);
+    span.note("instructions", static_cast<double>(prog.size()));
+    m->exec.decode(prog, m->simOpts.mispredictPenalty,
+                   m->simOpts.transitionGateNj, decoded);
 }
 
 const CoreResult &
 Machine::Batch::simAt(int smt, int lat_mem)
 {
+    static obs::Counter &memo_hits = obs::counter("batch_memo_hits");
+    static obs::Counter &core_sims = obs::counter("batch_core_sims");
+    static obs::Gauge &arena_high =
+        obs::gauge("arena_high_water_bytes");
     // A batch visits only a handful of distinct (smt, latency)
     // pairs (three SMT modes at nominal frequency, plus one entry
     // per distinct swept/contended latency), so a linear scan
     // beats any map.
     for (const MemoEntry &e : memo)
         if (e.smt == smt && e.latMem == lat_mem) {
-            obs::counter("batch_memo_hits").add();
+            memo_hits.add();
             return e.core;
         }
-    obs::counter("batch_core_sims").add();
-    CoreSimOptions opts = m.simOpts;
+    core_sims.add();
+    CoreSimOptions opts = m->simOpts;
     opts.memLatency = lat_mem;
     {
         obs::TraceSpan span("sim.core");
@@ -367,8 +354,8 @@ Machine::Batch::simAt(int smt, int lat_mem)
             {smt, lat_mem,
              simulateCoreDecoded(decoded, smt, opts, scratch)});
     }
-    obs::gauge("arena_high_water_bytes")
-        .max(static_cast<double>(scratch.arena.capacityBytes()));
+    arena_high.max(
+        static_cast<double>(scratch.arena.capacityBytes()));
     return memo.back().core;
 }
 
@@ -377,16 +364,16 @@ Machine::Batch::run(const ChipConfig &cfg, const OperatingPoint &op,
                     uint64_t salt)
 {
     if (!simFastPathEnabled())
-        return m.runLegacy(prog, cfg, op, salt);
-    m.validateRun(prog, cfg, op);
+        return m->runLegacy(*p, cfg, op, salt);
+    m->validateRun(cfg, op);
 
-    double lat_scale = op.freqGhz / m.params.clockGhz;
+    double lat_scale = op.freqGhz / m->params.clockGhz;
     const CoreResult *core =
-        &simAt(cfg.smt, m.firstPassMemLatency(lat_scale));
-    int contended = m.contendedMemLatency(*core, cfg, lat_scale);
+        &simAt(cfg.smt, m->firstPassMemLatency(lat_scale));
+    int contended = m->contendedMemLatency(*core, cfg, lat_scale);
     if (contended > 0)
         core = &simAt(cfg.smt, contended);
-    return m.finishRun(prog, cfg, op, salt, *core);
+    return m->finishRun(*p, cfg, op, salt, *core);
 }
 
 std::vector<RunResult>

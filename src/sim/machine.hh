@@ -221,27 +221,39 @@ class Machine
      * memoizing core simulations that only differ in core count
      * (the core-level simulation depends on the SMT mode and the
      * effective memory latency alone — core count enters through
-     * counter scaling and the contention latency). Results are
-     * bit-identical to per-job Machine::run. Not thread-safe; one
-     * Batch per worker thread. When the fast path is disabled
-     * (MPROBE_NO_BATCH / setSimFastPath) every request falls back
-     * to the legacy per-run engine.
+     * counter scaling and the contention latency). Machine::run is
+     * a Batch of one. Not thread-safe; one Batch per worker thread.
+     * When the fast path is disabled (MPROBE_NO_BATCH /
+     * setSimFastPath) every request falls back to the legacy per-run
+     * engine.
      */
     class Batch
     {
       public:
+        Batch() = default; ///< unpointed: point() before run()
         Batch(const Machine &machine, const Program &prog);
+
+        /** Serve (@p machine, @p prog) from now on: decode again,
+         * drop the memo, keep the scratch (and its cache arrays). */
+        void point(const Machine &machine, const Program &prog);
+
+        /** Whether the batch currently serves (@p machine, @p prog). */
+        bool
+        pointsAt(const Machine &machine, const Program &prog) const
+        {
+            return m == &machine && p == &prog;
+        }
 
         /** Evaluate one request over the decoded program. */
         RunResult run(const ChipConfig &cfg,
                       const OperatingPoint &op, uint64_t salt = 0);
 
-        /** Distinct core simulations performed so far (tests). */
+        /** Distinct core simulations since the last point() (tests). */
         size_t simCount() const { return memo.size(); }
 
       private:
-        const Machine &m;
-        const Program &prog;
+        const Machine *m = nullptr;
+        const Program *p = nullptr;
         DecodedProgram decoded;
         SimScratch scratch;
         struct MemoEntry
@@ -315,7 +327,7 @@ class Machine
     double vminAt(double freq_ghz, double core_ipc) const;
 
     /** Shared head of every run variant: argument validation. */
-    void validateRun(const Program &prog, const ChipConfig &cfg,
+    void validateRun(const ChipConfig &cfg,
                      const OperatingPoint &op) const;
     /** First-pass (uncontended) memory latency at @p lat_scale. */
     int firstPassMemLatency(double lat_scale) const;
@@ -335,10 +347,6 @@ class Machine
     RunResult runLegacy(const Program &prog, const ChipConfig &cfg,
                         const OperatingPoint &op,
                         uint64_t salt) const;
-    /** Decode-once engine for a single run (thread-local scratch). */
-    RunResult runDecoded(const Program &prog, const ChipConfig &cfg,
-                         const OperatingPoint &op,
-                         uint64_t salt) const;
 };
 
 /**

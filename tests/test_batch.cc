@@ -262,6 +262,31 @@ TEST(Batch, ReuseAcrossRunsIsIdentical)
     EXPECT_EQ(batch.simCount(), sims);
 }
 
+TEST(Batch, RepointMatchesFreshBatch)
+{
+    // Re-pointing a used batch at another program (and back) must
+    // drop the old memo: every result equals a fresh batch's.
+    Machine m(isa);
+    Program mem = memLoop(HitLevel::Mem);
+    Program fma = loopOf("xvmaddadp", 256, 0);
+    OperatingPoint op = m.operatingPoint(2.5);
+    Machine::Batch batch(m, mem);
+    RunResult first = batch.run({4, 2}, op, 7);
+    EXPECT_TRUE(batch.pointsAt(m, mem));
+
+    batch.point(m, fma);
+    EXPECT_FALSE(batch.pointsAt(m, mem));
+    EXPECT_EQ(batch.simCount(), 0u);
+    Machine::Batch fresh(m, fma);
+    expectSameResult(batch.run({4, 2}, op, 7),
+                     fresh.run({4, 2}, op, 7));
+
+    batch.point(m, mem);
+    expectSameResult(batch.run({4, 2}, op, 7), first);
+    // Machine::run is a batch of one over the same engine.
+    expectSameResult(m.run(mem, {4, 2}, op, 7), first);
+}
+
 TEST(Batch, NominalOperatingPointCollapses)
 {
     FastPathGuard guard;

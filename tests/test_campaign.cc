@@ -1767,6 +1767,48 @@ TEST(CampaignCache, LegacyEntryWithoutVddIsAHit)
     EXPECT_TRUE(samplesEqual(s1[0], s2[0]));
 }
 
+TEST(CampaignCache, PoisonedEntryIsReMeasuredOnce)
+{
+    // An on-curve sample stored under an off-curve key (what a path
+    // that drops the job's vdd would store) parses fine but names
+    // the wrong operating point: a run treats it as corrupt,
+    // re-measures and overwrites it, and the next run hits.
+    Fixture f;
+    auto progs = f.programs(2);
+    std::vector<ChipConfig> cfgs = {{1, 1}, {2, 2}};
+    CampaignSpec spec = tinySpec();
+    spec.vdds = {0.80};
+    spec.cacheDir = freshCacheDir("poison");
+    auto csvOf = [](const std::vector<Sample> &samples) {
+        std::ostringstream os;
+        exportSamplesCsv(os, samples);
+        return os.str();
+    };
+
+    Campaign clean(f.machine, spec);
+    std::string ref = csvOf(clean.measure(progs, cfgs));
+
+    uint64_t key = campaignJobKey(progs[0], cfgs[0],
+                                  f.machine.fingerprint(), 0, 0.0,
+                                  0.80);
+    Sample on_curve = makeSample(
+        progs[0].name,
+        f.machine.run(progs[0], cfgs[0], f.machine.operatingPoint(),
+                      hashCombine(key, 0x5a17ull)));
+    ASSERT_NE(on_curve.vddVolts, 0.80);
+    ASSERT_TRUE(ResultCache(spec.cacheDir).store(key, on_curve));
+
+    Campaign healing(f.machine, spec);
+    EXPECT_EQ(csvOf(healing.measure(progs, cfgs)), ref);
+    EXPECT_EQ(healing.cacheMisses(), 1u);
+    EXPECT_EQ(healing.cacheCorrupt(), 1u);
+
+    Campaign healed(f.machine, spec);
+    EXPECT_EQ(csvOf(healed.measure(progs, cfgs)), ref);
+    EXPECT_EQ(healed.cacheHits(), progs.size() * cfgs.size());
+    EXPECT_EQ(healed.cacheMisses(), 0u);
+}
+
 TEST(CampaignManifest, VddSuffixRoundTripsAndRejectsCorrupt)
 {
     CampaignManifest m;

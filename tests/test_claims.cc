@@ -317,28 +317,43 @@ csvOf(const std::vector<Sample> &samples)
     return os.str();
 }
 
+/** tinySpec swept over freqs x vdds (off-curve voltages at a
+ * non-nominal and at the nominal frequency). */
+CampaignSpec
+sweepSpec()
+{
+    CampaignSpec spec = tinySpec();
+    spec.configs = {{1, 1}, {2, 2}};
+    spec.freqs = {2.5, 3.0};
+    spec.vdds = {0.80, 0.95};
+    return spec;
+}
+
 TEST(ServeCampaign, MatchesPlainRunByteForByte)
 {
     Architecture arch = Architecture::get("POWER7");
     Machine machine(arch.isa(), arch.uarch().cacheGeometries(),
                     arch.uarch().clockGhz());
 
-    CampaignSpec plain = tinySpec();
-    plain.cacheDir = freshDir("serve-plain");
-    Campaign ref(machine, plain);
-    Architecture arch1 = arch;
-    CampaignResult refRes = ref.run(arch1);
+    for (const CampaignSpec &base : {tinySpec(), sweepSpec()}) {
+        CampaignSpec plain = base;
+        plain.cacheDir = freshDir("serve-plain");
+        Campaign ref(machine, plain);
+        Architecture arch1 = arch;
+        CampaignResult refRes = ref.run(arch1);
 
-    CampaignSpec serve = tinySpec();
-    serve.serve = true;
-    serve.cacheDir = freshDir("serve-pool");
-    serve.claimPollSeconds = 0.05;
-    Campaign campaign(machine, serve);
-    Architecture arch2 = arch;
-    CampaignResult res = campaign.run(arch2);
+        CampaignSpec serve = base;
+        serve.serve = true;
+        serve.cacheDir = freshDir("serve-pool");
+        serve.claimPollSeconds = 0.05;
+        Campaign campaign(machine, serve);
+        Architecture arch2 = arch;
+        CampaignResult res = campaign.run(arch2);
 
-    ASSERT_EQ(res.samples.size(), refRes.samples.size());
-    EXPECT_EQ(csvOf(res.samples), csvOf(refRes.samples));
+        ASSERT_EQ(res.samples.size(), refRes.samples.size());
+        EXPECT_EQ(csvOf(res.samples), csvOf(refRes.samples))
+            << base.contentSummary();
+    }
 }
 
 TEST(ServeCampaign, StealsPlantedStaleClaimAndCompletes)

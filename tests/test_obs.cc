@@ -544,6 +544,33 @@ TEST(TracedCampaign, SpansPresentAndExportsByteIdentical)
     EXPECT_EQ(obs::counter("cache_hits").value(),
               r2.samples.size());
 
+    // A cold --serve run is no less visible: the same job and
+    // engine spans, and still the reference export.
+    obs::traceReset();
+    obs::metricsReset();
+    CampaignSpec serve = spec;
+    serve.serve = true;
+    serve.cacheDir = freshCacheDir("traced-serve");
+    serve.claimPollSeconds = 0.05;
+    obs::traceEnable();
+    Campaign served(machine, serve);
+    CampaignResult r3 = served.run(arch);
+    obs::traceDisable();
+    std::ostringstream csv3;
+    exportSamplesCsv(csv3, r3.samples);
+    EXPECT_EQ(ref_csv.str(), csv3.str());
+    size_t serve_ends = 0, serve_sims = 0;
+    for (const ParsedEvent &e : parseTrace(traceJson())) {
+        if (e.phase != 'E')
+            continue;
+        if (e.name == "campaign.job")
+            ++serve_ends;
+        if (e.name == "sim.core")
+            ++serve_sims;
+    }
+    EXPECT_EQ(serve_ends, r3.samples.size());
+    EXPECT_GE(serve_sims, 1u);
+
     // Leave the global recorder clean for any later test.
     obs::traceReset();
     obs::metricsReset();

@@ -48,6 +48,20 @@ tinySpecText(int random_count)
     return os.str();
 }
 
+/** A tiny campaign swept over freqs x vdds: off-curve voltages at
+ * a non-nominal and at the nominal frequency. */
+std::string
+sweepSpecText()
+{
+    return "categories = random\n"
+           "random_count = 2\n"
+           "body_size = 128\n"
+           "bootstrap = 0\n"
+           "configs = 1-1,2-2\n"
+           "freqs = 2.5,3.0\n"
+           "vdds = 0.80,0.95\n";
+}
+
 void
 writeFile(const std::string &path, const std::string &content)
 {
@@ -81,15 +95,17 @@ testOptions(const std::string &tag)
     return opts;
 }
 
-/** The reference export: the same spec text run standalone. */
+/** The export of @p spec_text run standalone over @p cache_dir
+ * (empty: a fresh cache of its own). */
 std::string
-referenceCsv(const std::string &spec_text, const std::string &tag)
+standaloneCsv(const std::string &spec_text, const std::string &tag,
+              const std::string &cache_dir = "")
 {
     std::string dir = freshDir(tag + "-ref");
     std::string path = dir + "/ref.spec";
     writeFile(path, spec_text);
     CampaignSpec spec = loadCampaignSpec(path);
-    spec.cacheDir = dir + "/cache";
+    spec.cacheDir = cache_dir.empty() ? dir + "/cache" : cache_dir;
     Architecture arch = Architecture::get("POWER7");
     Machine machine(arch.isa(), arch.uarch().cacheGeometries(),
                     arch.uarch().clockGhz());
@@ -134,15 +150,32 @@ TEST(Service, CompletesDroppedCampaigns)
 
 TEST(Service, ExportMatchesStandaloneRun)
 {
-    ServiceOptions opts = testOptions("match");
-    std::string text = tinySpecText(3);
-    writeFile(opts.dropDir + "/sweep.spec", text);
+    for (const std::string &text : {tinySpecText(3), sweepSpecText()}) {
+        ServiceOptions opts = testOptions("match");
+        writeFile(opts.dropDir + "/sweep.spec", text);
 
+        CampaignService service(opts);
+        ASSERT_EQ(service.run(), 1u);
+
+        EXPECT_EQ(readFile(opts.resultsDir + "/sweep/samples.csv"),
+                  standaloneCsv(text, "match"))
+            << text;
+    }
+}
+
+TEST(Service, SharedCacheServesStandaloneRunsCorrectly)
+{
+    // The service's cache entries must be exactly what a
+    // standalone run would store: a standalone run replaying them
+    // exports what a clean standalone run exports, on every axis.
+    ServiceOptions opts = testOptions("shared");
+    std::string text = sweepSpecText();
+    writeFile(opts.dropDir + "/sweep.spec", text);
     CampaignService service(opts);
     ASSERT_EQ(service.run(), 1u);
 
-    EXPECT_EQ(readFile(opts.resultsDir + "/sweep/samples.csv"),
-              referenceCsv(text, "match"));
+    EXPECT_EQ(standaloneCsv(text, "shared-replay", opts.cacheDir),
+              standaloneCsv(text, "shared-clean"));
 }
 
 TEST(Service, SurvivesMalformedSpec)
