@@ -11,7 +11,6 @@
 #include <cmath>
 #include <filesystem>
 #include <map>
-#include <numeric>
 #include <thread>
 
 #include "campaign/claims.hh"
@@ -173,6 +172,49 @@ costAwareShardIndices(const std::vector<CampaignJob> &jobs,
     if (count < 1 || index < 0 || index >= count)
         fatal(cat("campaign: bad shard ", index, "/", count));
     return costStripedShard(jobCosts(jobs), index, count);
+}
+
+std::vector<JobGroup>
+jobGroups(const std::vector<CampaignJob> &jobs)
+{
+    std::map<std::pair<size_t, int>, size_t> group_of;
+    std::vector<JobGroup> groups;
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        auto key = std::make_pair(jobs[i].workload, jobs[i].config.smt);
+        auto it = group_of.find(key);
+        if (it == group_of.end()) {
+            it = group_of.emplace(key, groups.size()).first;
+            groups.push_back({i, {}, 0.0});
+        }
+        JobGroup &g = groups[it->second];
+        g.jobs.push_back(i);
+        g.cost += jobs[i].cost;
+    }
+    // Longest-first draining at both levels: the costliest groups
+    // start first so the pool drains without a long-tail straggler
+    // holding the last worker, and each group retires its own
+    // costliest members first.
+    for (JobGroup &g : groups)
+        std::stable_sort(g.jobs.begin(), g.jobs.end(),
+                         [&](size_t a, size_t b) {
+                             return jobs[a].cost > jobs[b].cost;
+                         });
+    std::stable_sort(groups.begin(), groups.end(),
+                     [](const JobGroup &a, const JobGroup &b) {
+                         return a.cost > b.cost;
+                     });
+    return groups;
+}
+
+std::vector<PoolJob>
+claimPool(const std::vector<CampaignJob> &jobs, size_t base)
+{
+    std::vector<PoolJob> pool(jobs.size());
+    for (const JobGroup &g : jobGroups(jobs))
+        for (size_t i : g.jobs)
+            pool[i] = {jobs[i].key, base + i, jobs[i].cost,
+                       base + g.first};
+    return pool;
 }
 
 Sample
@@ -466,48 +508,11 @@ Campaign::runJobs(const std::vector<CampaignWorkload> &workloads,
     std::atomic<int64_t> cold_cost_milli{0};
     std::atomic<int64_t> cached_cost_milli{0};
 
-    // Batched execution: jobs sharing a workload and SMT mode form
-    // one group, run back to back by one worker so its executor's
-    // Batch memo is shared across the group's core counts and
-    // frequencies (the core-level simulation depends only on the
-    // SMT mode and the effective memory latency; core count enters
-    // through counter scaling and the contention latency). Groups
-    // never span SMT modes because the memo cannot share across
-    // them.
-    std::map<std::pair<size_t, int>, size_t> group_of;
-    std::vector<std::vector<size_t>> groups;
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        auto key = std::make_pair(jobs[i].workload, jobs[i].config.smt);
-        auto it = group_of.find(key);
-        if (it == group_of.end()) {
-            group_of.emplace(key, groups.size());
-            groups.push_back({i});
-        } else {
-            groups[it->second].push_back(i);
-        }
-    }
-
-    // Longest-first draining at both levels: the costliest groups
-    // start first so the pool drains without a long-tail straggler
-    // holding the last worker, and each group retires its own
-    // costliest members first. Only the *execution* order changes
-    // — each job still writes its own slot, so samples stay in job
-    // order and results are identical to a serial in-order run.
-    std::vector<double> group_cost(groups.size(), 0.0);
-    for (size_t g = 0; g < groups.size(); ++g) {
-        for (size_t i : groups[g])
-            group_cost[g] += jobs[i].cost;
-        std::stable_sort(groups[g].begin(), groups[g].end(),
-                         [&](size_t a, size_t b) {
-                             return jobs[a].cost > jobs[b].cost;
-                         });
-    }
-    std::vector<size_t> exec_order(groups.size());
-    std::iota(exec_order.begin(), exec_order.end(), 0);
-    std::stable_sort(exec_order.begin(), exec_order.end(),
-                     [&](size_t a, size_t b) {
-                         return group_cost[a] > group_cost[b];
-                     });
+    // Longest-first draining at both levels (see jobGroups): only
+    // the *execution* order changes — each job still writes its own
+    // slot, so samples stay in job order and results are identical
+    // to a serial in-order run.
+    std::vector<JobGroup> groups = jobGroups(jobs);
 
     // Each job writes only its own slot: no result synchronization,
     // and sample order is scheduling-independent by construction.
@@ -576,7 +581,7 @@ Campaign::runJobs(const std::vector<CampaignWorkload> &workloads,
     auto worker = [&](size_t) {
         JobExecutor exec(cache);
         for (size_t q; (q = next_group++) < groups.size();)
-            for (size_t i : groups[exec_order[q]])
+            for (size_t i : groups[q].jobs)
                 runOne(exec, i);
     };
     parallelFor(spec.threads,
@@ -592,11 +597,7 @@ Campaign::runClaimed(
 {
     ClaimDir claimdir(spec.cacheDir, spec.workerId,
                       spec.claimTtlSeconds);
-    std::vector<PoolJob> pool;
-    pool.reserve(jobs.size());
-    for (size_t i = 0; i < jobs.size(); ++i)
-        pool.push_back({jobs[i].key, i, jobs[i].cost});
-    ClaimedQueue queue(cache, claimdir, std::move(pool));
+    ClaimedQueue queue(cache, claimdir, claimPool(jobs));
 
     inform(cat("campaign: serving ", jobs.size(),
                " pool jobs as worker ", claimdir.workerId(),
@@ -620,18 +621,26 @@ Campaign::runClaimed(
     out.cached.assign(jobs.size(), 0);
 
     // Every worker thread loops pull -> run -> complete until the
-    // pool is drained; parallelFor's index is just a worker id.
+    // pool is drained; parallelFor's index is just a worker id. Its
+    // affinity keeps it on one (workload, SMT) group at a time, so
+    // its executor's Batch memo is shared as in runJobs.
     // Unlike runJobs there is no per-index slot discipline — a
     // thread may run any job — but each pulled index is handed to
     // exactly one thread process-wide (ClaimedQueue::running) and
     // fleet-wide (the claim file), so slot writes never race.
     auto drain = [&](size_t) {
         JobExecutor exec(cache);
+        ClaimedQueue::Affinity affinity;
         for (;;) {
             size_t i = 0;
-            ClaimedQueue::Pull pull = queue.next(i);
-            if (pull == ClaimedQueue::Pull::Drained)
+            ClaimedQueue::Pull pull = queue.next(i, affinity);
+            if (pull == ClaimedQueue::Pull::Drained) {
+                // Nothing left to claim, but sibling threads may
+                // still run their last jobs: keep those claims
+                // fresh until they end, as nobody else pulls.
+                queue.awaitLocal(spec.claimPollSeconds);
                 return;
+            }
             if (pull == ClaimedQueue::Pull::Wait) {
                 std::this_thread::sleep_for(
                     std::chrono::duration<double>(
@@ -785,17 +794,20 @@ Campaign::run(Architecture &arch)
     res.cacheCorrupt = cache.corrupt() - corrupt0;
     res.claimsAcquired = outcome.claimsAcquired;
     res.claimsStolen = outcome.claimsStolen;
+    static obs::Counter &corrupt = obs::counter("cache_corrupt");
+    static obs::Gauge &generation_s = obs::gauge("generation_seconds");
+    static obs::Gauge &measure_s = obs::gauge("measure_seconds");
     // The cache cannot count corrupt entries into the registry
     // itself (cache.cc is inside the obs-isolation boundary), so
     // the engine syncs the delta here.
     if (res.cacheCorrupt > 0)
-        obs::counter("cache_corrupt").add(res.cacheCorrupt);
+        corrupt.add(res.cacheCorrupt);
     res.generationSeconds =
         std::chrono::duration<double>(t1 - t0).count();
     res.measureSeconds =
         std::chrono::duration<double>(t2 - t1).count();
-    obs::gauge("generation_seconds").set(res.generationSeconds);
-    obs::gauge("measure_seconds").set(res.measureSeconds);
+    generation_s.set(res.generationSeconds);
+    measure_s.set(res.measureSeconds);
     inform(cat("campaign: done; cache ", res.cacheHits, " hits / ",
                res.cacheMisses, " misses"));
     return res;

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "campaign/cache.hh"
+#include "campaign/claims.hh"
 #include "campaign/cost.hh"
 #include "campaign/spec.hh"
 #include "microprobe/arch.hh"
@@ -164,6 +165,43 @@ std::vector<size_t> shardIndices(size_t n, int index, int count);
 std::vector<size_t>
 costAwareShardIndices(const std::vector<CampaignJob> &jobs,
                       int index, int count);
+
+/**
+ * Jobs that share a workload and an SMT mode: the unit one worker
+ * runs back to back, so its executor's Batch memo serves the
+ * group's core counts and operating points (the core simulation
+ * depends only on the SMT mode and the effective memory latency;
+ * core count enters through counter scaling and the contention
+ * latency). Groups never span SMT modes because the memo cannot
+ * share across them.
+ */
+struct JobGroup
+{
+    /** Index of the group's first job in job order. */
+    size_t first = 0;
+    /** Member job indices, costliest first (ties in job order). */
+    std::vector<size_t> jobs;
+    /** Summed estimated cost of the members. */
+    double cost = 0.0;
+};
+
+/**
+ * Group @p jobs by (workload, SMT mode), costliest group first
+ * (ties in order of first appearance). Plain runs pull whole
+ * groups in this order; claimPool() hands the same grouping to the
+ * claim queue.
+ */
+std::vector<JobGroup> jobGroups(const std::vector<CampaignJob> &jobs);
+
+/**
+ * The claim-pool entries of @p jobs, in job order: job i becomes
+ * pool index @p base + i, and its group id is the pool index of
+ * its group's first job. A service that pools several campaigns
+ * gives each a disjoint index range, so group ids never merge jobs
+ * of different campaigns.
+ */
+std::vector<PoolJob> claimPool(const std::vector<CampaignJob> &jobs,
+                               size_t base = 0);
 
 /** Per-shard slice of a campaign plan (--plan dry run). */
 struct CampaignShardPlan

@@ -13,6 +13,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <mutex>
 #include <sstream>
 
 #include "obs/metrics.hh"
@@ -249,68 +251,167 @@ void
 ClaimedQueue::push(const std::vector<PoolJob> &jobs)
 {
     MutexLock lock(mutex);
-    for (const PoolJob &j : jobs)
-        entries.push_back({j, false, false});
-    // Descending cost, ties by ascending key for a stable pull
-    // order no matter how campaigns were ingested interleaved.
-    std::stable_sort(entries.begin(), entries.end(),
-                     [](const Entry &a, const Entry &b) {
-                         if (a.job.cost != b.job.cost)
-                             return a.job.cost > b.job.cost;
-                         return a.job.key < b.job.key;
-                     });
+    std::map<uint64_t, size_t> slot_of;
+    for (size_t s = 0; s < groups.size(); ++s)
+        slot_of.emplace(groups[s].id, s);
+    std::set<size_t> grown;
+    for (const PoolJob &j : jobs) {
+        auto it = slot_of.find(j.group);
+        if (it == slot_of.end()) {
+            it = slot_of.emplace(j.group, groups.size()).first;
+            groups.emplace_back();
+            groups.back().id = j.group;
+        }
+        Group &g = groups[it->second];
+        g.entries.push_back({j, false, false});
+        ++g.idle;
+        grown.insert(it->second);
+    }
+    for (size_t s : grown) {
+        Group &g = groups[s];
+        // Descending cost, ties by ascending key: a stable pull
+        // order no matter how campaigns were ingested interleaved.
+        std::stable_sort(g.entries.begin(), g.entries.end(),
+                         [](const Entry &a, const Entry &b) {
+                             if (a.job.cost != b.job.cost)
+                                 return a.job.cost > b.job.cost;
+                             return a.job.key < b.job.key;
+                         });
+        g.first = 0;
+        g.cost = 0.0;
+        for (const Entry &e : g.entries)
+            g.cost += e.job.cost;
+    }
+    order.resize(groups.size());
+    for (size_t s = 0; s < order.size(); ++s)
+        order[s] = s;
+    // Descending summed cost, ties by ascending group id. (The
+    // comparator reads through a plain reference: the lock held
+    // here is invisible to the thread-safety analysis inside it.)
+    const std::vector<Group> &gs = groups;
+    std::sort(order.begin(), order.end(), [&gs](size_t a, size_t b) {
+        if (gs[a].cost != gs[b].cost)
+            return gs[a].cost > gs[b].cost;
+        return gs[a].id < gs[b].id;
+    });
 }
 
-ClaimedQueue::Pull
-ClaimedQueue::next(size_t &out_index)
+ClaimedQueue::Entry *
+ClaimedQueue::pullFrom(Group &g, bool fresh_only, bool &peer_open)
 {
-    // One live pulling thread keeps every in-flight claim of this
-    // process fresh, so siblings running jobs longer than the scan
-    // interval are not stolen from.
-    claims.heartbeatHeld();
-    MutexLock lock(mutex);
-    bool any_open = false;
-    for (Entry &e : entries) {
-        if (e.done)
+    while (g.first < g.entries.size() && g.entries[g.first].done)
+        ++g.first;
+    for (size_t k = g.first; g.idle > 0 && k < g.entries.size(); ++k) {
+        Entry &e = g.entries[k];
+        if (e.done || e.running)
             continue;
-        if (e.running) {
-            any_open = true;
-            continue;
-        }
         if (cache.contains(e.job.key)) {
             // A peer finished this job. A stale claim left on a
             // cached job (its worker died between store and
             // release) would otherwise linger forever: nothing
             // re-runs a cached job, so nothing would release it.
             e.done = true;
+            --g.idle;
             ++nPeer;
             claims.sweepIfStale(e.job.key);
             continue;
         }
         if (claims.tryAcquire(e.job.key)) {
             e.running = true;
-            out_index = e.job.index;
-            return Pull::Job;
+            --g.idle;
+            ++nRunning;
+            g.touched = true;
+            return &e;
         }
-        any_open = true; // claimed by a live peer; revisit later
+        // Claimed by a live peer; revisit later.
+        peer_open = true;
+        g.touched = true;
+        if (fresh_only)
+            return nullptr;
     }
-    return any_open ? Pull::Wait : Pull::Drained;
+    return nullptr;
+}
+
+ClaimedQueue::Pull
+ClaimedQueue::next(size_t &out_index, Affinity &affinity)
+{
+    // One live pulling thread keeps every in-flight claim of this
+    // process fresh, so siblings running jobs longer than the scan
+    // interval are not stolen from.
+    claims.heartbeatHeld();
+    MutexLock lock(mutex);
+    bool peer_open = false;
+    // Stay on the thread's own group: its Batch already holds the
+    // group's decode and memo.
+    size_t slot = affinity.slot;
+    Entry *e = affinity.set ? pullFrom(groups[slot], false, peer_open)
+                            : nullptr;
+    // Then start the costliest group nobody has touched yet.
+    for (size_t k = 0; !e && k < order.size(); ++k) {
+        slot = order[k];
+        if (!groups[slot].touched && groups[slot].idle > 0)
+            e = pullFrom(groups[slot], true, peer_open);
+    }
+    // The tail: help out in groups already in progress.
+    for (size_t k = 0; !e && k < order.size(); ++k) {
+        slot = order[k];
+        if (groups[slot].touched && groups[slot].idle > 0 &&
+            !(affinity.set && slot == affinity.slot))
+            e = pullFrom(groups[slot], false, peer_open);
+    }
+    affinity.set = e != nullptr;
+    if (!e)
+        // Jobs running on sibling threads are not waited on: they
+        // end with their thread, which completes them itself.
+        return peer_open ? Pull::Wait : Pull::Drained;
+    affinity.slot = slot;
+    out_index = e->job.index;
+    return Pull::Job;
+}
+
+ClaimedQueue::Pull
+ClaimedQueue::next(size_t &out_index)
+{
+    Affinity fresh;
+    return next(out_index, fresh);
 }
 
 void
 ClaimedQueue::complete(size_t index)
 {
-    MutexLock lock(mutex);
-    for (Entry &e : entries) {
-        if (e.job.index != index || !e.running)
-            continue;
-        e.running = false;
-        e.done = true;
-        claims.release(e.job.key);
-        return;
+    {
+        MutexLock lock(mutex);
+        Entry *e = nullptr;
+        for (Group &g : groups)
+            for (Entry &c : g.entries)
+                if (c.job.index == index && c.running)
+                    e = &c;
+        if (!e)
+            panic(cat("claims: complete(", index,
+                      ") without a matching running pool job"));
+        e->running = false;
+        e->done = true;
+        --nRunning;
+        claims.release(e->job.key);
     }
-    panic(cat("claims: complete(", index,
-              ") without a matching running pool job"));
+    localDone.notify_all();
+}
+
+void
+ClaimedQueue::awaitLocal(double heartbeat_seconds)
+{
+    const std::chrono::duration<double> period(heartbeat_seconds);
+    std::unique_lock<Mutex> lock(mutex);
+    while (nRunning > 0) {
+        localDone.wait_for(lock, period);
+        if (nRunning == 0)
+            break;
+        // Heartbeat outside the lock: it touches every held claim
+        // file, and complete() must not queue up behind that.
+        lock.unlock();
+        claims.heartbeatHeld();
+        lock.lock();
+    }
 }
 
 size_t
@@ -318,9 +419,10 @@ ClaimedQueue::pending() const
 {
     MutexLock lock(mutex);
     size_t n = 0;
-    for (const Entry &e : entries)
-        if (!e.done)
-            ++n;
+    for (const Group &g : groups)
+        for (const Entry &e : g.entries)
+            if (!e.done)
+                ++n;
     return n;
 }
 

@@ -25,18 +25,19 @@
  *
  * ClaimedQueue layers pool semantics on top: any number of
  * `mprobe_campaign --serve` workers (and the drop-directory service
- * of src/service/) pull jobs from the manifest-defined pool in
- * cost order, skip jobs whose results are already cached, wait on
- * jobs freshly claimed by live peers, and steal them once the
- * claim expires. A pool is drained exactly when every job's result
- * is in the cache — at which point any worker can assemble the
- * complete, byte-identical export.
+ * of src/service/) pull jobs from the manifest-defined pool
+ * group-major in cost order, skip jobs whose results are already
+ * cached, wait on jobs freshly claimed by live peers, and steal
+ * them once the claim expires. A pool is drained exactly when
+ * every job's result is in the cache — at which point any worker
+ * can assemble the complete, byte-identical export.
  */
 
 #ifndef CAMPAIGN_CLAIMS_HH
 #define CAMPAIGN_CLAIMS_HH
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -51,8 +52,9 @@ namespace mprobe
 /**
  * Default stale-claim TTL. A claim is heartbeaten every time its
  * worker pulls from the queue (between jobs) and whenever a worker
- * thread waits on peers, so in a live worker the mtime stays far
- * younger than this. Raise it when individual jobs can run longer
+ * thread waits on peers or on its siblings' last jobs
+ * (ClaimedQueue::awaitLocal), so in a live worker the mtime stays
+ * far younger than this. Raise it when individual jobs can run longer
  * than this on the slowest fleet host (a claim is only refreshed
  * between jobs), or when cache-directory clocks (e.g. NFS server
  * vs client) may disagree by a sizable fraction of it.
@@ -172,12 +174,22 @@ struct PoolJob
 {
     /** Cache/claim key of the job. */
     uint64_t key = 0;
-    /** Caller's index for the job (position in its own job list). */
+    /** Caller's index for the job (position in its own job list);
+     * unique within one queue. */
     size_t index = 0;
-    /** Estimated relative cost (JobCostModel units); the queue
-     * hands out claimable jobs in descending cost order so the
-     * fleet drains without a long-tail straggler. */
+    /** Estimated relative cost (JobCostModel units): costlier
+     * groups start first and each group retires its costliest jobs
+     * first, so the fleet drains without a long-tail straggler. */
     double cost = 0.0;
+    /**
+     * Batch-sharing group: jobs of one workload and SMT mode (see
+     * claimPool in campaign/campaign.hh). A thread that runs a
+     * group back to back reuses its Batch's decode and memo, so
+     * the queue hands a pulling thread more of its own group
+     * before anything else. The default puts every job in one
+     * group, which pulls in plain cost order.
+     */
+    uint64_t group = 0;
 };
 
 /**
@@ -186,6 +198,13 @@ struct PoolJob
  * through the cache (completed jobs) and the ClaimDir (in-flight
  * jobs). Thread-safe; all worker threads of one process share one
  * queue.
+ *
+ * Pull order is group-major: groups by descending summed cost
+ * (ties by group id), and within a group jobs by descending cost
+ * (ties by key). A thread that pulls with an Affinity stays on its
+ * group until the group has nothing claimable left; it then starts
+ * the costliest group nobody has touched yet, and only when none
+ * is left helps out in a group already in progress (the tail).
  */
 class ClaimedQueue
 {
@@ -194,30 +213,57 @@ class ClaimedQueue
     enum class Pull
     {
         Job,     //!< @p index is yours to run: claim held
-        Wait,    //!< live peers hold every remaining job; retry
-        Drained, //!< every pool job's result is in the cache
+        Wait,    //!< live peers hold every remaining claimable
+                 //!< job; retry after a poll interval
+        Drained, //!< nothing left to claim: every pool job is in
+                 //!< the cache or running on a thread of this
+                 //!< process
+    };
+
+    /**
+     * A pulling thread's place in the pool: the group it works
+     * through. One per thread, passed to every next() that thread
+     * makes; it starts unset and is cleared again when the thread
+     * gets Wait or Drained.
+     */
+    class Affinity
+    {
+      private:
+        friend class ClaimedQueue;
+        bool set = false;
+        /** The group's slot in ClaimedQueue::groups. */
+        size_t slot = 0;
     };
 
     /**
      * Build over @p cache and @p claims (both outlive the queue).
-     * @p jobs is the pool; it is scheduled in descending cost
+     * @p jobs is the pool; it is scheduled group-major in cost
      * order regardless of input order.
      */
     ClaimedQueue(const ResultCache &cache, ClaimDir &claims,
                  std::vector<PoolJob> jobs = {});
 
     /** Append more pool jobs (the service ingests new campaigns
-     * while workers pull; cost order is maintained). */
+     * while workers pull; the pull order is maintained). A job
+     * whose group id is already in the pool joins that group. */
     void push(const std::vector<PoolJob> &jobs);
 
     /**
-     * Pull the next runnable job. On Pull::Job, @p out_index is
-     * the caller-side index of a job this worker now holds the
-     * claim for: run it, store the result in the cache, then call
-     * complete(). On Pull::Wait, sleep briefly and pull again — a
-     * peer death turns Wait into Job once its claim passes the
-     * TTL. Heartbeats all claims held by this process.
+     * Pull the next runnable job for the thread owning
+     * @p affinity. On Pull::Job, @p out_index is the caller-side
+     * index of a job this worker now holds the claim for: run it,
+     * store the result in the cache, then call complete(). On
+     * Pull::Wait, sleep briefly and pull again — a peer death
+     * turns Wait into Job once its claim passes the TTL. Jobs
+     * running on sibling threads of this process never cause a
+     * Wait: once only they are open, the pull is Drained, and the
+     * thread calls awaitLocal() before it exits. Heartbeats all
+     * claims held by this process; allocates nothing itself.
      */
+    Pull next(size_t &out_index, Affinity &affinity);
+
+    /** Pull with a fresh Affinity: a one-off pull, bound to no
+     * group. On a single-group pool this is plain cost order. */
     Pull next(size_t &out_index);
 
     /**
@@ -226,6 +272,19 @@ class ClaimedQueue
      * release second).
      */
     void complete(size_t index);
+
+    /**
+     * Block until no job pulled from this queue is running on a
+     * thread of this process, heartbeating every held claim each
+     * @p heartbeat_seconds meanwhile. A thread that got Drained
+     * calls it before it exits: its siblings' last jobs otherwise
+     * have nobody refreshing their claims, and a job outlasting
+     * the TTL would be stolen. Returns as soon as the last local
+     * job completes. (Exempt from the thread-safety analysis: it
+     * waits through std::unique_lock, which the analysis cannot
+     * follow, and reads nRunning only with the lock held.)
+     */
+    void awaitLocal(double heartbeat_seconds) NO_THREAD_SAFETY_ANALYSIS;
 
     /** Pool jobs not yet observed cached by this queue (includes
      * jobs currently running anywhere). */
@@ -238,7 +297,7 @@ class ClaimedQueue
   private:
     const ResultCache &cache;
     ClaimDir &claims;
-    /** Pool entries in descending cost order, with bookkeeping. */
+    /** One pool job with its bookkeeping. */
     struct Entry
     {
         PoolJob job;
@@ -248,10 +307,43 @@ class ClaimedQueue
          * yet (never handed out twice locally). */
         bool running = false;
     };
+    /** The jobs of one group id. */
+    struct Group
+    {
+        uint64_t id = 0;
+        /** Summed cost of the entries. */
+        double cost = 0.0;
+        /** Descending cost, ties by ascending key. */
+        std::vector<Entry> entries;
+        /** Entries before it are all done. */
+        size_t first = 0;
+        /** Entries neither done nor running: the only ones a pull
+         * can claim (or find held by a peer). */
+        size_t idle = 0;
+        /** A job of the group was handed out here, or one was
+         * found claimed by a peer: no longer a fresh start. */
+        bool touched = false;
+    };
     mutable Mutex mutex;
-    /** The pool, kept in descending cost order by push(). */
-    std::vector<Entry> entries GUARDED_BY(mutex);
+    /** Groups in arrival order; a slot never moves, so an
+     * Affinity stays valid across push(). */
+    std::vector<Group> groups GUARDED_BY(mutex);
+    /** Group slots in pull order (descending cost, then id). */
+    std::vector<size_t> order GUARDED_BY(mutex);
+    /** Entries with running set, across all groups. */
+    size_t nRunning GUARDED_BY(mutex) = 0;
+    /** Signalled by complete(), for awaitLocal(). */
+    std::condition_variable_any localDone;
     std::atomic<size_t> nPeer{0};
+
+    /**
+     * Claim the first claimable entry of @p g, marking cached
+     * ones done. A peer-held entry sets @p peer_open; with
+     * @p fresh_only the scan gives up on the group there (a peer
+     * works in it). Returns the claimed entry or nullptr.
+     */
+    Entry *pullFrom(Group &g, bool fresh_only, bool &peer_open)
+        REQUIRES(mutex);
 };
 
 } // namespace mprobe

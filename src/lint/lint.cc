@@ -259,6 +259,82 @@ obsIsolationRule(const std::string &path, const LintSource &src,
 }
 
 // ----------------------------------------------------------------
+// Rule: obs-handle — instruments register once.
+
+bool
+obsHandleScope(const std::string &path)
+{
+    // Code that runs campaigns; tests read instruments back by
+    // name, which is what the registry lookup is for.
+    return pathStartsWith(path, "src/") ||
+           pathStartsWith(path, "tools/") ||
+           pathStartsWith(path, "bench/");
+}
+
+bool
+isPunct(const LintToken &t, const char *text)
+{
+    return t.kind == LintToken::Kind::Punct && t.text == text;
+}
+
+void
+obsHandleRule(const std::string &path, const LintSource &src,
+              std::vector<LintFinding> &out)
+{
+    if (!obsHandleScope(path))
+        return;
+    const auto &toks = src.tokens;
+    // One entry per open brace: does it open a namespace? A lookup
+    // is function-local when any enclosing brace is not one.
+    std::vector<bool> braces;
+    size_t locals = 0;
+    for (size_t i = 0; i < toks.size(); ++i) {
+        if (isPunct(toks[i], "{")) {
+            bool ns = (i >= 1 && toks[i - 1].text == "namespace") ||
+                      (i >= 2 && toks[i - 2].text == "namespace");
+            braces.push_back(ns);
+            locals += ns ? 0 : 1;
+            continue;
+        }
+        if (isPunct(toks[i], "}")) {
+            if (!braces.empty()) {
+                locals -= braces.back() ? 0 : 1;
+                braces.pop_back();
+            }
+            continue;
+        }
+        if (i + 4 >= toks.size() || toks[i].text != "obs" ||
+            !isPunct(toks[i + 1], ":") || !isPunct(toks[i + 2], ":") ||
+            !isPunct(toks[i + 4], "("))
+            continue;
+        const std::string &fn = toks[i + 3].text;
+        if (fn != "counter" && fn != "gauge" && fn != "histogram")
+            continue;
+        // The statement must be `static <handle> = obs::fn(...)`.
+        bool handle = false;
+        if (locals > 0 && i >= 1 && isPunct(toks[i - 1], "=")) {
+            size_t j = i - 1;
+            while (j > 0 && !isPunct(toks[j - 1], ";") &&
+                   !isPunct(toks[j - 1], "{") &&
+                   !isPunct(toks[j - 1], "}"))
+                --j;
+            handle = toks[j].text == "static";
+        }
+        if (handle || src.exempt("obs-handle-ok", toks[i].line))
+            continue;
+        out.push_back(
+            {path, toks[i].line, "obs-handle",
+             cat("'obs::", fn,
+                 "(...)' outside a function-local static "
+                 "initializer: a registry lookup locks and may "
+                 "allocate on every call. Register once "
+                 "('static obs::Counter &c = obs::counter(...);') "
+                 "and use the handle, or annotate "
+                 "'// lint: obs-handle-ok(<reason>)'")});
+    }
+}
+
+// ----------------------------------------------------------------
 // Rule: hot-path-alloc — arena discipline inside
 // simulateCoreDecoded.
 
@@ -574,6 +650,7 @@ lintSourceText(const std::string &path, const std::string &text)
     nondeterminismRule(path, src, out);
     unorderedRule(path, src, out);
     obsIsolationRule(path, src, out);
+    obsHandleRule(path, src, out);
     hotPathRule(path, src, out);
     return out;
 }

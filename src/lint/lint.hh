@@ -25,6 +25,12 @@
  *    observability layer (src/obs/: traces, metrics, telemetry)
  *    must never be able to leak into results. No escape hatch;
  *    count plainly in place and sync from the engine instead.
+ *  - `obs-handle`: every `obs::counter/gauge/histogram(...)`
+ *    lookup in src/, tools/ and bench/ is the initializer of a
+ *    function-local `static` handle — the registry's
+ *    register-once rule (obs/metrics.hh), so no instrumented path
+ *    locks the registry per event. Escape hatch:
+ *    `// lint: obs-handle-ok(<reason>)`.
  *  - `hot-path-alloc`: no heap allocation (new/make_unique/malloc/
  *    growing containers) inside simulateCoreDecoded in
  *    src/sim/core.cc — the PR-7 arena discipline. Escape hatch:

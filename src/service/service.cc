@@ -109,19 +109,20 @@ CampaignService::ingestSpec(const std::string &path)
         c->jobs = std::move(ex.jobs);
         c->done.assign(c->jobs.size(), 0);
 
+        // The campaign's jobs take the next pool indices; their
+        // group ids derive from those, so groups never span
+        // campaigns.
         std::vector<PoolJob> pjobs;
-        pjobs.reserve(c->jobs.size());
         {
             MutexLock lock(mutex);
-            for (size_t j = 0; j < c->jobs.size(); ++j) {
-                pjobs.push_back({c->jobs[j].key, pool.size(),
-                                 c->jobs[j].cost});
+            pjobs = claimPool(c->jobs, pool.size());
+            for (size_t j = 0; j < c->jobs.size(); ++j)
                 pool.push_back({c.get(), j});
-            }
             campaigns.push_back(std::move(c));
         }
         queue.push(pjobs);
-        obs::counter("specs_ingested").add();
+        static obs::Counter &ingested = obs::counter("specs_ingested");
+        ingested.add();
         inform(cat("service: campaign '", name, "' queued (",
                    pjobs.size(), " jobs in the shared pool)"));
         return true;
@@ -291,14 +292,14 @@ void
 CampaignService::drainLoop()
 {
     JobExecutor exec(cache);
+    ClaimedQueue::Affinity affinity;
     while (!stopRequested.load()) {
         size_t gi = 0;
-        ClaimedQueue::Pull pull = queue.next(gi);
+        ClaimedQueue::Pull pull = queue.next(gi, affinity);
         if (pull != ClaimedQueue::Pull::Job) {
-            // Wait: live peers hold everything open. Drained: the
-            // pool is momentarily empty, but the watcher may
-            // ingest more work — only stopRequested ends a
-            // worker.
+            // Wait: live peers hold everything open. Drained:
+            // nothing is left to claim, but the watcher may ingest
+            // more work — only stopRequested ends a worker.
             std::this_thread::sleep_for(
                 std::chrono::duration<double>(opts.pollSeconds));
             continue;

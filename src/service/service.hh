@@ -18,7 +18,9 @@
  *     per-campaign manifest under `<results>/<name>/`, and feeds
  *     the jobs into one shared claim pool (campaign/claims.hh),
  *     cost-ordered across *all* active campaigns via the
- *     JobCostModel estimates the jobs carry;
+ *     JobCostModel estimates the jobs carry, in per-campaign
+ *     (workload, SMT) groups that a worker thread drains back to
+ *     back (claimPool in campaign/campaign.hh);
  *   - worker threads drain the pool through per-job claim files in
  *     the shared cache directory, so any number of service
  *     processes (and plain `mprobe_campaign --serve` workers on
@@ -65,7 +67,7 @@ struct ServiceOptions
      * thread). */
     int threads = 0;
     /** Seconds between drop-directory scans, and a worker's sleep
-     * when live peers hold every remaining job. */
+     * when it finds nothing to claim. */
     double pollSeconds = 1.0;
     /** Seconds between status.json/partial-export refreshes. */
     double statusSeconds = 5.0;

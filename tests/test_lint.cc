@@ -227,7 +227,10 @@ TEST(LintObsIsolation, FlagsObsInByteIdentityFiles)
 TEST(LintObsIsolation, EngineFilesAndCleanCodePass)
 {
     const char *snippet =
-        "void f() { obs::counter(\"claims_stolen\").add(); }\n";
+        "void f() {\n"
+        "    static obs::Counter &c = obs::counter(\"claims_stolen\");\n"
+        "    c.add();\n"
+        "}\n";
     // Orchestration files instrument legitimately: out of scope.
     EXPECT_TRUE(
         lintSourceText("src/campaign/campaign.cc", snippet)
@@ -246,6 +249,87 @@ TEST(LintObsIsolation, EngineFilesAndCleanCodePass)
                        "// lint: wallclock-ok(nice try)\n"
                        "void h() { obs::traceInstant(\"x\"); }\n"),
         "obs-isolation"));
+}
+
+// ----------------------------------------------------------------
+// Rule: obs-handle.
+
+TEST(LintObsHandle, FlagsLookupsOutsideStaticHandles)
+{
+    const char *path = "src/campaign/campaign.cc";
+    // A by-name lookup per call.
+    EXPECT_TRUE(hasRule(
+        lintSourceText(path, "void f() {\n"
+                             "    obs::counter(\"cache_corrupt\").add(2);\n"
+                             "}\n"),
+        "obs-handle"));
+    EXPECT_TRUE(hasRule(
+        lintSourceText(path, "void f(double s) {\n"
+                             "    obs::gauge(\"measure_seconds\").set(s);\n"
+                             "}\n"),
+        "obs-handle"));
+    // A handle that is not static looks up on every call too.
+    EXPECT_TRUE(hasRule(
+        lintSourceText(path,
+                       "void f() {\n"
+                       "    obs::Counter &c = obs::counter(\"x\");\n"
+                       "    c.add();\n"
+                       "}\n"),
+        "obs-handle"));
+    // A namespace-scope static registers during static
+    // initialization, in unspecified order across files.
+    EXPECT_TRUE(hasRule(
+        lintSourceText(path,
+                       "namespace mprobe {\n"
+                       "static obs::Histogram &h = obs::histogram(\n"
+                       "    \"job_seconds\", {0.1, 1.0});\n"
+                       "}\n"),
+        "obs-handle"));
+    // Tools and benches are in scope as well.
+    EXPECT_TRUE(hasRule(
+        lintSourceText("tools/mprobe_x.cc",
+                       "int main() { obs::counter(\"runs\").add(); }\n"),
+        "obs-handle"));
+}
+
+TEST(LintObsHandle, StaticHandlesTestsAndAnnotationsPass)
+{
+    EXPECT_TRUE(
+        lintSourceText(
+            "src/sim/machine.cc",
+            "namespace mprobe {\n"
+            "namespace {\n"
+            "obs::Histogram &\n"
+            "jobHistogram() {\n"
+            "    static obs::Histogram &h = obs::histogram(\n"
+            "        \"job_seconds\", {0.001, 1.0});\n"
+            "    return h;\n"
+            "}\n"
+            "} // namespace\n"
+            "void run() {\n"
+            "    static obs::Counter &sims = obs::counter(\"sims\");\n"
+            "    auto cb = [&]() {\n"
+            "        static obs::Gauge &g = obs::gauge(\"level\");\n"
+            "        g.set(1.0);\n"
+            "    };\n"
+            "    sims.add();\n"
+            "}\n"
+            "}\n")
+            .empty());
+    // Tests read instruments back by name.
+    EXPECT_TRUE(lintSourceText("tests/test_obs.cc",
+                               "void t() {\n"
+                               "    obs::counter(\"cache_hits\").value();\n"
+                               "}\n")
+                    .empty());
+    // A reviewed one-off lookup can say why.
+    EXPECT_TRUE(lintSourceText(
+                    "src/service/service.cc",
+                    "void f() {\n"
+                    "    // lint: obs-handle-ok(once per process)\n"
+                    "    obs::counter(\"starts\").add();\n"
+                    "}\n")
+                    .empty());
 }
 
 // ----------------------------------------------------------------

@@ -163,6 +163,32 @@ TEST(Service, ExportMatchesStandaloneRun)
     }
 }
 
+TEST(Service, CampaignsSharingWorkloadsExportLikeStandalone)
+{
+    // All three campaigns generate the same random programs, and
+    // "plain" and "again" are the same spec, so their jobs share
+    // keys. Each campaign's claim groups come from its own pool
+    // range: a group never spans campaigns, and every campaign
+    // still exports what it exports standalone.
+    ServiceOptions opts = testOptions("overlap");
+    std::string plain = tinySpecText(2);
+    std::string sweep = sweepSpecText();
+    writeFile(opts.dropDir + "/again.spec", plain);
+    writeFile(opts.dropDir + "/plain.spec", plain);
+    writeFile(opts.dropDir + "/sweep.spec", sweep);
+
+    CampaignService service(opts);
+    ASSERT_EQ(service.run(), 3u);
+
+    std::string plain_ref = standaloneCsv(plain, "overlap-plain");
+    EXPECT_EQ(readFile(opts.resultsDir + "/plain/samples.csv"),
+              plain_ref);
+    EXPECT_EQ(readFile(opts.resultsDir + "/again/samples.csv"),
+              plain_ref);
+    EXPECT_EQ(readFile(opts.resultsDir + "/sweep/samples.csv"),
+              standaloneCsv(sweep, "overlap-sweep"));
+}
+
 TEST(Service, SharedCacheServesStandaloneRunsCorrectly)
 {
     // The service's cache entries must be exactly what a
