@@ -9,7 +9,13 @@
  * the cache hierarchy for memory operations. All SMT threads of the
  * paper's deployments run the same micro-benchmark, one copy pinned
  * per hardware thread, so the core executes nThreads copies of one
- * Program against a shared cache hierarchy.
+ * Program against a shared cache hierarchy; a heterogeneous co-run
+ * gives each thread its own Program.
+ *
+ * There is one cycle loop, simulateCoreDecoded, over the decoded
+ * form of the programs (DecodedProgram). simulateCore and
+ * simulateCoreHetero decode and call it; Machine::Batch decodes a
+ * program once and calls it per distinct core simulation.
  *
  * Because every micro-benchmark is an endless loop, the core reaches
  * a periodic steady state; the simulator warms up for a few
@@ -76,7 +82,8 @@ struct CoreSimOptions
 };
 
 /**
- * Simulate @p threads copies of @p prog on one core.
+ * Simulate @p threads copies of @p prog on one core (decode, then
+ * simulateCoreDecoded).
  *
  * @param exec ground-truth timing/energy tables for prog's ISA
  * @param prog the micro-benchmark loop
@@ -92,7 +99,8 @@ CoreResult simulateCore(const ExecModel &exec, const Program &prog,
  * different) program per hardware thread — the multi-threaded
  * stressmark exploration the paper leaves as future work (Section
  * 6, after Ganesan et al.'s MAMPO). All programs must share one
- * ISA; 1, 2 or 4 threads.
+ * ISA; 1, 2 or 4 threads. Decodes the programs back to back and
+ * calls simulateCoreDecoded.
  */
 CoreResult simulateCoreHetero(
     const ExecModel &exec,
@@ -129,13 +137,13 @@ class SimScratch
 };
 
 /**
- * Simulate @p threads copies of a decoded program on one core:
- * the batched-evaluation twin of simulateCore. Bit-identical to
- * simulateCore on the program the decode came from — same cycle
- * walk, same counter arithmetic in the same order — while touching
- * no ExecModel, Isa or heap state in its inner loop. @p opts must
- * carry the same mispredict penalty and transition gate the decode
- * baked in (checked).
+ * The core simulation loop: run a decoded program on @p threads
+ * hardware threads of one core. A decode of one program runs a copy
+ * on every thread; a decode of @p threads programs (a co-run built
+ * with ExecModel::decodeAppend) runs the i-th on thread i. The inner
+ * loop touches no ExecModel, Isa or heap state. @p opts must carry
+ * the same mispredict penalty and transition gate the decode baked
+ * in (checked).
  */
 CoreResult simulateCoreDecoded(const DecodedProgram &dec,
                                int threads,

@@ -412,43 +412,65 @@ ExecModel::decode(const Program &prog, int mispredict_penalty,
                   double transition_gate_nj,
                   DecodedProgram &out) const
 {
+    out.name = prog.name;
+    out.bodySize = 0;
+    out.mispredictPenalty = mispredict_penalty;
+    out.transitionGateNj = transition_gate_nj;
+    out.programStart.clear();
+    out.streamLines.clear();
+    out.streamOffset.clear();
+    out.streamLen.clear();
+    decodeAppend(prog, out);
+}
+
+void
+ExecModel::decodeAppend(const Program &prog, DecodedProgram &out) const
+{
     if (!prog.isa)
         panic("simulateCore: program without ISA");
     const size_t n = prog.body.size();
-    out.name = prog.name;
-    out.bodySize = n;
-    out.mispredictPenalty = mispredict_penalty;
-    out.transitionGateNj = transition_gate_nj;
+    const size_t base = out.bodySize;
+    const size_t stream_base = out.streamLen.size();
+    out.programStart.push_back(static_cast<uint32_t>(base));
+    out.bodySize = base + n;
+    const int mispredict_penalty = out.mispredictPenalty;
+    const double transition_gate_nj = out.transitionGateNj;
 
-    out.depSrc.resize(n);
-    out.stream.resize(n);
-    out.unitFirst.resize(n);
-    out.unitSecond.resize(n);
-    out.pipesNeeded.resize(n);
-    out.extraFxuOps.resize(n);
-    out.flags.resize(n);
-    out.highEnergy.resize(n);
-    out.issueInterval.resize(n);
-    out.latency.resize(n);
-    out.actEnergyNj.resize(n);
-    out.mispredictInc.resize(n);
+    out.depSrc.resize(base + n);
+    out.stream.resize(base + n);
+    out.unitFirst.resize(base + n);
+    out.unitSecond.resize(base + n);
+    out.pipesNeeded.resize(base + n);
+    out.extraFxuOps.resize(base + n);
+    out.flags.resize(base + n);
+    out.highEnergy.resize(base + n);
+    out.issueInterval.resize(base + n);
+    out.latency.resize(base + n);
+    out.actEnergyNj.resize(base + n);
+    out.mispredictInc.resize(base + n);
 
-    for (size_t s = 0; s < n; ++s) {
-        const ProgInst &pi = prog.body[s];
+    for (size_t i = 0; i < n; ++i) {
+        const ProgInst &pi = prog.body[i];
         const ExecInfo &ei = info(pi.op);
         const InstrDef &idef = prog.isa->at(pi.op);
+        const size_t s = base + i;
 
+        // Slots and stream ids index the whole decode.
         out.depSrc[s] =
             pi.depDist > 0
                 ? static_cast<int32_t>(
-                      (s + n - static_cast<size_t>(pi.depDist) % n)
-                      % n)
+                      base +
+                      (i + n - static_cast<size_t>(pi.depDist) % n) %
+                          n)
                 : -1;
-        out.stream[s] = pi.stream;
+        out.stream[s] =
+            pi.stream >= 0
+                ? static_cast<int32_t>(stream_base +
+                                       static_cast<size_t>(pi.stream))
+                : -1;
 
-        // Allowed units in ascending order, matching the unit scan
-        // of the reference simulator (at most two: the dual-issue
-        // integer category).
+        // Allowed units in ascending order (at most two: the
+        // dual-issue integer category).
         int8_t first = -1, second = -1;
         for (int u = 0; u < kNumUnits; ++u) {
             if (!ei.allows(static_cast<Unit>(u)))
@@ -478,8 +500,7 @@ ExecModel::decode(const Program &prog, int mispredict_penalty,
         out.highEnergy[s] = ei.energyNj >= transition_gate_nj;
         out.issueInterval[s] = ei.issueInterval;
         out.latency[s] = ei.latency;
-        // Exactly the reference simulator's expression, so the
-        // precomputed product is the bit-identical double.
+        // Data-dependent dynamic energy, pre-multiplied.
         double act =
             1.0 - ei.toggleSens + ei.toggleSens * pi.toggle;
         out.actEnergyNj[s] = ei.energyNj * act;
@@ -492,14 +513,10 @@ ExecModel::decode(const Program &prog, int mispredict_penalty,
         }
     }
 
-    out.streamLines.clear();
-    out.streamOffset.resize(prog.streams.size());
-    out.streamLen.resize(prog.streams.size());
-    for (size_t i = 0; i < prog.streams.size(); ++i) {
-        const MemStream &ms = prog.streams[i];
-        out.streamOffset[i] =
-            static_cast<uint32_t>(out.streamLines.size());
-        out.streamLen[i] = static_cast<uint32_t>(ms.lines.size());
+    for (const MemStream &ms : prog.streams) {
+        out.streamOffset.push_back(
+            static_cast<uint32_t>(out.streamLines.size()));
+        out.streamLen.push_back(static_cast<uint32_t>(ms.lines.size()));
         out.streamLines.insert(out.streamLines.end(),
                                ms.lines.begin(), ms.lines.end());
     }

@@ -104,6 +104,13 @@ class ExecModel
                 double transition_gate_nj,
                 DecodedProgram &out) const;
 
+    /**
+     * Append @p prog to a decode as the next hardware thread's
+     * program of a heterogeneous co-run, under the knobs @p out
+     * was decoded with.
+     */
+    void decodeAppend(const Program &prog, DecodedProgram &out) const;
+
     /** Number of pipes of each unit on one core. */
     static int pipes(Unit u);
 

@@ -6,10 +6,7 @@
 #include "sim/machine.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -19,40 +16,6 @@
 
 namespace mprobe
 {
-
-namespace
-{
-
-/** -1 = follow MPROBE_NO_BATCH, 0/1 = forced by setSimFastPath. */
-std::atomic<int> fastPathOverride{-1};
-
-bool
-envDisablesFastPath()
-{
-    static const bool disabled = [] {
-        const char *v = std::getenv("MPROBE_NO_BATCH");
-        return v && *v && std::strcmp(v, "0") != 0;
-    }();
-    return disabled;
-}
-
-} // namespace
-
-bool
-simFastPathEnabled()
-{
-    int forced = fastPathOverride.load(std::memory_order_relaxed);
-    if (forced >= 0)
-        return forced != 0;
-    return !envDisablesFastPath();
-}
-
-void
-setSimFastPath(bool enabled)
-{
-    fastPathOverride.store(enabled ? 1 : 0,
-                           std::memory_order_relaxed);
-}
 
 std::vector<ChipConfig>
 ChipConfig::all()
@@ -169,47 +132,6 @@ Machine::run(const Program &prog, const ChipConfig &cfg,
     return run(prog, cfg, operatingPoint(), salt);
 }
 
-void
-Machine::validateRun(const ChipConfig &cfg,
-                     const OperatingPoint &op) const
-{
-    if (cfg.cores < 1 || cfg.cores > 8)
-        fatal(cat("bad core count ", cfg.cores));
-    if (cfg.smt != 1 && cfg.smt != 2 && cfg.smt != 4)
-        fatal(cat("bad SMT mode ", cfg.smt));
-    if (op.freqGhz <= 0.0 || op.voltage <= 0.0)
-        fatal(cat("bad operating point ", op.freqGhz, " GHz @ ",
-                  op.voltage, " V"));
-}
-
-int
-Machine::firstPassMemLatency(double lat_scale) const
-{
-    return std::max(
-        1, static_cast<int>(
-               std::lround(simOpts.memLatency * lat_scale)));
-}
-
-int
-Machine::contendedMemLatency(const CoreResult &core,
-                             const ChipConfig &cfg,
-                             double lat_scale) const
-{
-    // Shared-memory contention: when several cores stream from
-    // memory, the effective latency grows with aggregate demand.
-    double mem_per_cycle =
-        core.window.cycles > 0
-            ? core.window.memAcc / core.window.cycles
-            : 0.0;
-    if (cfg.cores <= 1 || mem_per_cycle <= 1e-3)
-        return 0;
-    double factor = 1.0 + params.memContentionK * mem_per_cycle *
-                              (cfg.cores - 1);
-    return std::max(
-        1, static_cast<int>(std::lround(
-               ExecModel::memLatencyBase * lat_scale * factor)));
-}
-
 RunResult
 Machine::run(const Program &prog, const ChipConfig &cfg,
              const OperatingPoint &op, uint64_t salt) const
@@ -221,31 +143,6 @@ Machine::run(const Program &prog, const ChipConfig &cfg,
     thread_local Batch batch;
     batch.point(*this, prog);
     return batch.run(cfg, op, salt);
-}
-
-RunResult
-Machine::runLegacy(const Program &prog, const ChipConfig &cfg,
-                   const OperatingPoint &op, uint64_t salt) const
-{
-    validateRun(cfg, op);
-
-    // Main-memory latency is fixed in nanoseconds; its cycle count
-    // follows the core clock. Core/cache latencies are clock-domain
-    // cycles and stay put. lat_scale is exactly 1.0 at the nominal
-    // point, so the pre-DVFS path is reproduced bit for bit.
-    double lat_scale = op.freqGhz / params.clockGhz;
-
-    // First pass at the uncontended memory latency.
-    CoreSimOptions opts = simOpts;
-    opts.memLatency = firstPassMemLatency(lat_scale);
-    CoreResult core = simulateCore(exec, prog, cfg.smt, opts);
-
-    int contended = contendedMemLatency(core, cfg, lat_scale);
-    if (contended > 0) {
-        opts.memLatency = contended;
-        core = simulateCore(exec, prog, cfg.smt, opts);
-    }
-    return finishRun(prog, cfg, op, salt, core);
 }
 
 RunResult
@@ -318,9 +215,6 @@ Machine::Batch::point(const Machine &machine, const Program &prog)
     m = &machine;
     p = &prog;
     memo.clear();
-    // Decoded even when the fast path is currently disabled: the
-    // toggle is dynamic (tests flip it), so run() must never see a
-    // stale decode.
     obs::TraceSpan span("sim.decode");
     span.note("instructions", static_cast<double>(prog.size()));
     m->exec.decode(prog, m->simOpts.mispredictPenalty,
@@ -363,16 +257,39 @@ RunResult
 Machine::Batch::run(const ChipConfig &cfg, const OperatingPoint &op,
                     uint64_t salt)
 {
-    if (!simFastPathEnabled())
-        return m->runLegacy(*p, cfg, op, salt);
-    m->validateRun(cfg, op);
+    if (cfg.cores < 1 || cfg.cores > 8)
+        fatal(cat("bad core count ", cfg.cores));
+    if (cfg.smt != 1 && cfg.smt != 2 && cfg.smt != 4)
+        fatal(cat("bad SMT mode ", cfg.smt));
+    if (op.freqGhz <= 0.0 || op.voltage <= 0.0)
+        fatal(cat("bad operating point ", op.freqGhz, " GHz @ ",
+                  op.voltage, " V"));
 
+    // Main-memory latency is fixed in nanoseconds; its cycle count
+    // follows the core clock. Core/cache latencies are clock-domain
+    // cycles and stay put. lat_scale is exactly 1.0 at the nominal
+    // point, so the pre-DVFS path is reproduced bit for bit.
     double lat_scale = op.freqGhz / m->params.clockGhz;
-    const CoreResult *core =
-        &simAt(cfg.smt, m->firstPassMemLatency(lat_scale));
-    int contended = m->contendedMemLatency(*core, cfg, lat_scale);
-    if (contended > 0)
-        core = &simAt(cfg.smt, contended);
+
+    // First pass at the uncontended memory latency.
+    const CoreResult *core = &simAt(
+        cfg.smt, std::max(1, static_cast<int>(std::lround(
+                                 m->simOpts.memLatency * lat_scale))));
+
+    // Shared-memory contention: when several cores stream from
+    // memory, the effective latency grows with aggregate demand.
+    double mem_per_cycle =
+        core->window.cycles > 0
+            ? core->window.memAcc / core->window.cycles
+            : 0.0;
+    if (cfg.cores > 1 && mem_per_cycle > 1e-3) {
+        double factor = 1.0 + m->params.memContentionK *
+                                  mem_per_cycle * (cfg.cores - 1);
+        core = &simAt(cfg.smt,
+                      std::max(1, static_cast<int>(std::lround(
+                                      ExecModel::memLatencyBase *
+                                      lat_scale * factor))));
+    }
     return m->finishRun(*p, cfg, op, salt, *core);
 }
 

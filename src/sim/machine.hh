@@ -223,9 +223,6 @@ class Machine
      * effective memory latency alone — core count enters through
      * counter scaling and the contention latency). Machine::run is
      * a Batch of one. Not thread-safe; one Batch per worker thread.
-     * When the fast path is disabled (MPROBE_NO_BATCH /
-     * setSimFastPath) every request falls back to the legacy per-run
-     * engine.
      */
     class Batch
     {
@@ -326,39 +323,12 @@ class Machine
      * @p freq_ghz for a workload running at @p core_ipc. */
     double vminAt(double freq_ghz, double core_ipc) const;
 
-    /** Shared head of every run variant: argument validation. */
-    void validateRun(const ChipConfig &cfg,
-                     const OperatingPoint &op) const;
-    /** First-pass (uncontended) memory latency at @p lat_scale. */
-    int firstPassMemLatency(double lat_scale) const;
-    /**
-     * Contention-adjusted memory latency for a rerun, or 0 when
-     * the first-pass result needs none.
-     */
-    int contendedMemLatency(const CoreResult &core,
-                            const ChipConfig &cfg,
-                            double lat_scale) const;
-    /** Shared tail of every run variant: power composition and
-     * sensor readout from a finished core simulation. */
+    /** Power composition and sensor readout from a finished core
+     * simulation (the tail of Batch::run). */
     RunResult finishRun(const Program &prog, const ChipConfig &cfg,
                         const OperatingPoint &op, uint64_t salt,
                         const CoreResult &core) const;
-    /** The pre-batching reference engine (simulateCore). */
-    RunResult runLegacy(const Program &prog, const ChipConfig &cfg,
-                        const OperatingPoint &op,
-                        uint64_t salt) const;
 };
-
-/**
- * True when run()/Batch use the decoded fast path (the default).
- * The MPROBE_NO_BATCH environment variable (non-empty, not "0")
- * forces the legacy per-run engine everywhere — CI's batched-
- * identity smoke diffs the two paths byte for byte.
- */
-bool simFastPathEnabled();
-
-/** Test hook: override the fast-path choice for this process. */
-void setSimFastPath(bool enabled);
 
 } // namespace mprobe
 

@@ -61,6 +61,10 @@ struct ProgInst
 /**
  * Structure-of-arrays form of a Program, decoded once per program
  * by ExecModel::decode and consumed by simulateCoreDecoded.
+ * A heterogeneous SMT co-run appends one program per hardware
+ * thread (ExecModel::decodeAppend): the per-slot and stream arrays
+ * hold the programs back to back, and their slot and stream
+ * indices refer to the whole decode.
  *
  * Everything the simulator's inner loop derives per dispatched
  * instruction — the ExecInfo lookup, the dependency-source modulo,
@@ -76,8 +80,11 @@ struct DecodedProgram
 {
     /** Program name (panic messages, sensor seeds). */
     std::string name;
-    /** Static loop-body length. */
+    /** Static loop-body length (all programs together). */
     size_t bodySize = 0;
+    /** First body slot of each program: {0} for a single program,
+     * one entry per hardware thread for a co-run. */
+    std::vector<uint32_t> programStart;
 
     /** @name Per body slot (all vectors bodySize long) */
     /**@{*/

@@ -112,6 +112,19 @@ TEST(HeteroDeath, MixedIsaFatal)
                 testing::ExitedWithCode(1), "share one ISA");
 }
 
+TEST(HeteroDeath, EmptyCoRunnerFatal)
+{
+    Fixture f;
+    Program a = f.loopOf("add", 0);
+    Program empty;
+    empty.isa = &f.arch.isa();
+    ExecModel exec(f.arch.isa());
+    EXPECT_EXIT(simulateCoreHetero(exec, {&a, &empty}),
+                testing::ExitedWithCode(1), "empty program");
+    EXPECT_EXIT(simulateCoreHetero(exec, {&empty, &a}),
+                testing::ExitedWithCode(1), "empty program");
+}
+
 TEST(HeteroDeath, ThreeThreadsFatal)
 {
     Fixture f;
