@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <thread>
@@ -28,10 +29,17 @@
 namespace mprobe
 {
 
+namespace
+{
+
+/**
+ * The key prefix of one job: FNV-1a over everything that tells one
+ * job of a program from another. The key continues this state
+ * over the program's byte image (keyImage).
+ */
 uint64_t
-campaignJobKey(const Program &prog, const ChipConfig &cfg,
-               uint64_t machine_fingerprint, uint64_t salt,
-               double freq_ghz, double vdd_volts)
+keyPrefix(const ChipConfig &cfg, uint64_t machine_fingerprint,
+          uint64_t salt, double freq_ghz, double vdd_volts)
 {
     Hasher h;
     h.add(kCacheSchemaVersion);
@@ -49,22 +57,79 @@ campaignJobKey(const Program &prog, const ChipConfig &cfg,
         h.add(static_cast<uint64_t>(0x7dd0));
         h.add(vdd_volts);
     }
+    return h.digest();
+}
+
+/**
+ * The key suffix of every job of @p prog: the canonical bytes a
+ * Hasher would be fed for every Program field the simulator reads
+ * (integers as 64-bit words, floats as canonical double bits,
+ * sizes before sequences).
+ */
+std::vector<unsigned char>
+keyImage(const Program &prog)
+{
+    size_t words = 2 + 5 * prog.body.size() + 1;
+    for (const auto &st : prog.streams)
+        words += 1 + st.lines.size();
+    std::vector<unsigned char> img(8 * words + prog.name.size());
+    unsigned char *p = img.data();
+    auto word = [&p](uint64_t v) {
+        std::memcpy(p, &v, sizeof v);
+        p += sizeof v;
+    };
+    auto real = [&word](double v) {
+        if (v == 0.0)
+            v = 0.0; // collapse -0.0 and +0.0, as Hasher does
+        uint64_t bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        word(bits);
+    };
+    auto integer = [&word](int v) {
+        word(static_cast<uint64_t>(static_cast<int64_t>(v)));
+    };
     // The sensor-noise seed hashes the program name, so the name is
     // result-relevant and must be part of the key.
-    h.add(prog.name);
-    h.add(prog.body.size());
+    word(prog.name.size());
+    std::memcpy(p, prog.name.data(), prog.name.size());
+    p += prog.name.size();
+    word(prog.body.size());
     for (const auto &pi : prog.body) {
-        h.add(pi.op).add(pi.depDist).add(pi.stream);
-        h.add(static_cast<double>(pi.toggle));
-        h.add(static_cast<double>(pi.takenRate));
+        integer(pi.op);
+        integer(pi.depDist);
+        integer(pi.stream);
+        real(pi.toggle);
+        real(pi.takenRate);
     }
-    h.add(prog.streams.size());
+    word(prog.streams.size());
     for (const auto &st : prog.streams) {
-        h.add(st.lines.size());
+        word(st.lines.size());
         for (uint64_t line : st.lines)
-            h.add(line);
+            word(line);
     }
-    return h.digest();
+    return img;
+}
+
+/** Turn @p n prefix states of jobs of @p prog into their keys, in
+ * one pass over the program's byte image. */
+void
+finishKeys(const Program &prog, uint64_t *states, size_t n)
+{
+    std::vector<unsigned char> img = keyImage(prog);
+    hashBytesLanes(img.data(), img.size(), states, n);
+}
+
+} // namespace
+
+uint64_t
+campaignJobKey(const Program &prog, const ChipConfig &cfg,
+               uint64_t machine_fingerprint, uint64_t salt,
+               double freq_ghz, double vdd_volts)
+{
+    uint64_t key = keyPrefix(cfg, machine_fingerprint, salt,
+                             freq_ghz, vdd_volts);
+    finishKeys(prog, &key, 1);
+    return key;
 }
 
 uint64_t
@@ -404,7 +469,12 @@ Campaign::expandJobs(
         vdd_axis.push_back(0.0);
     else
         vdd_axis = spec.vdds;
+    // Lay the jobs out serially (the fatal check, slot ranges),
+    // then key each workload's slot range as one task: its jobs
+    // differ only in the key prefix, so the program's byte image
+    // is hashed once for all of them.
     std::vector<CampaignJob> jobs;
+    std::vector<size_t> first(workloads.size() + 1, 0);
     for (size_t w = 0; w < workloads.size(); ++w) {
         if (configs_per[w].empty())
             fatal(cat("campaign: workload '",
@@ -421,16 +491,29 @@ Campaign::expandJobs(
                             ? v
                             : 0.0;
                     jobs.push_back(
-                        {w, cfg,
-                         campaignJobKey(workloads[w].program, cfg,
-                                        machineFp, spec.salt, f,
-                                        v_eff),
+                        {w, cfg, 0,
                          costModel.estimate(
                              cfg,
                              workloads[w].program.body.size()),
                          f, v_eff});
                 }
+        first[w + 1] = jobs.size();
     }
+    parallelFor(
+        spec.threads, workloads.size(),
+        [&](size_t w) {
+            std::vector<uint64_t> keys;
+            keys.reserve(first[w + 1] - first[w]);
+            for (size_t i = first[w]; i < first[w + 1]; ++i)
+                keys.push_back(keyPrefix(jobs[i].config, machineFp,
+                                         spec.salt, jobs[i].freqGhz,
+                                         jobs[i].vdd));
+            finishKeys(workloads[w].program, keys.data(),
+                       keys.size());
+            for (size_t i = first[w]; i < first[w + 1]; ++i)
+                jobs[i].key = keys[i - first[w]];
+        },
+        "campaign.key");
     return jobs;
 }
 
@@ -761,12 +844,14 @@ Campaign::run(Architecture &arch)
             std::vector<std::vector<ChipConfig>>(
                 res.workloads.size(), spec.configs));
         span.note("jobs", static_cast<double>(all_jobs.size()));
+        // The manifest is persisted before measurement starts —
+        // always the *full* job list, so an interrupted or sharded
+        // run can always report what is left and --merge sees
+        // every job.
+        writeManifest(res.workloads, all_jobs);
     }
     res.totalJobs = all_jobs.size();
-    // The manifest is persisted before measurement starts — always
-    // the *full* job list, so an interrupted or sharded run can
-    // always report what is left and --merge sees every job.
-    writeManifest(res.workloads, all_jobs);
+    auto t_expanded = clock::now();
     if (spec.sharded())
         res.jobs = jobsAt(all_jobs,
                           costAwareShardIndices(all_jobs,
@@ -796,6 +881,7 @@ Campaign::run(Architecture &arch)
     res.claimsStolen = outcome.claimsStolen;
     static obs::Counter &corrupt = obs::counter("cache_corrupt");
     static obs::Gauge &generation_s = obs::gauge("generation_seconds");
+    static obs::Gauge &expand_s = obs::gauge("expand_seconds");
     static obs::Gauge &measure_s = obs::gauge("measure_seconds");
     // The cache cannot count corrupt entries into the registry
     // itself (cache.cc is inside the obs-isolation boundary), so
@@ -804,9 +890,12 @@ Campaign::run(Architecture &arch)
         corrupt.add(res.cacheCorrupt);
     res.generationSeconds =
         std::chrono::duration<double>(t1 - t0).count();
+    res.expandSeconds =
+        std::chrono::duration<double>(t_expanded - t1).count();
     res.measureSeconds =
         std::chrono::duration<double>(t2 - t1).count();
     generation_s.set(res.generationSeconds);
+    expand_s.set(res.expandSeconds);
     measure_s.set(res.measureSeconds);
     inform(cat("campaign: done; cache ", res.cacheHits, " hits / ",
                res.cacheMisses, " misses"));

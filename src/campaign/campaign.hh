@@ -109,7 +109,11 @@ struct CampaignResult
     /** @name Phase wall times (perf trajectory tracking) */
     /**@{*/
     double generationSeconds = 0.0;
+    /** Everything after generation: expand plus measurement. */
     double measureSeconds = 0.0;
+    /** The expand stage alone (keying, cost estimates, manifest),
+     * the first part of measureSeconds. */
+    double expandSeconds = 0.0;
     /**@}*/
 };
 
@@ -122,6 +126,12 @@ struct CampaignResult
  * directories upgrade miss-free. @p vdd_volts likewise joins only
  * when positive (an off-curve voltage), under a domain-separation
  * tag so a vdd-only sweep can never collide with a freq-only one.
+ *
+ * The key is a job prefix (schema, machine, salt, config,
+ * operating point) followed by the program's byte image; this is
+ * the one-job case of the keying the campaign runs per workload,
+ * which feeds one image to all of a program's job prefixes at once
+ * (docs/MODEL.md, "Cache keys").
  */
 uint64_t campaignJobKey(const Program &prog, const ChipConfig &cfg,
                         uint64_t machine_fingerprint,
@@ -386,7 +396,9 @@ class Campaign
     /** Expand spec workloads (generation phase). */
     std::vector<CampaignWorkload> expandWorkloads(Architecture &arch);
 
-    /** Build one job per (workload, config) pair, workload-major. */
+    /** Build one job per (workload, config, operating point),
+     * workload-major; each workload's jobs are keyed as one task
+     * on spec.threads workers. */
     std::vector<CampaignJob>
     expandJobs(const std::vector<CampaignWorkload> &workloads,
                const std::vector<std::vector<ChipConfig>> &configs_per)

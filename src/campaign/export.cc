@@ -19,15 +19,6 @@ namespace mprobe
 namespace
 {
 
-/** Shortest round-trippable formatting for doubles. */
-std::string
-num(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
 /** CSV quoting per RFC 4180 (only when needed). */
 std::string
 csvField(const std::string &s)
@@ -84,11 +75,14 @@ exportSamplesCsv(std::ostream &os,
         os << csvField(s.workload) << "," << s.config.cores << ","
            << s.config.smt;
         for (double r : s.rates)
-            os << "," << num(r);
-        os << "," << num(s.powerWatts) << "," << num(s.instrGips)
-           << "," << num(s.coreIpc) << "," << num(s.freqGhz)
-           << "," << num(sampleEpiJoules(s)) << ","
-           << num(sampleEdp(s)) << "," << num(s.vddVolts) << ","
+            os << "," << formatDouble(r);
+        os << "," << formatDouble(s.powerWatts) << ","
+           << formatDouble(s.instrGips) << ","
+           << formatDouble(s.coreIpc) << ","
+           << formatDouble(s.freqGhz) << ","
+           << formatDouble(sampleEpiJoules(s)) << ","
+           << formatDouble(sampleEdp(s)) << ","
+           << formatDouble(s.vddVolts) << ","
            << (s.reliable ? 1 : 0) << "\n";
     }
 }
@@ -108,15 +102,15 @@ exportSamplesJson(std::ostream &os,
             os << (j ? ", " : "") << "\""
                << (j < names.size() ? names[j]
                                     : cat("rate", j))
-               << "\": " << num(s.rates[j]);
+               << "\": " << formatDouble(s.rates[j]);
         }
-        os << "}, \"power_watts\": " << num(s.powerWatts)
-           << ", \"instr_gips\": " << num(s.instrGips)
-           << ", \"core_ipc\": " << num(s.coreIpc)
-           << ", \"freq_ghz\": " << num(s.freqGhz)
-           << ", \"epi_j\": " << num(sampleEpiJoules(s))
-           << ", \"edp\": " << num(sampleEdp(s))
-           << ", \"vdd_volts\": " << num(s.vddVolts)
+        os << "}, \"power_watts\": " << formatDouble(s.powerWatts)
+           << ", \"instr_gips\": " << formatDouble(s.instrGips)
+           << ", \"core_ipc\": " << formatDouble(s.coreIpc)
+           << ", \"freq_ghz\": " << formatDouble(s.freqGhz)
+           << ", \"epi_j\": " << formatDouble(sampleEpiJoules(s))
+           << ", \"edp\": " << formatDouble(sampleEdp(s))
+           << ", \"vdd_volts\": " << formatDouble(s.vddVolts)
            << ", \"reliable\": " << (s.reliable ? "true" : "false")
            << "}"
            << (i + 1 < samples.size() ? "," : "") << "\n";

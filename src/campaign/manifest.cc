@@ -41,18 +41,12 @@ manifestToText(const CampaignManifest &m)
         // config token; nominal-point jobs keep the pre-DVFS form.
         os << "job " << key << " " << e.config.cores << "-"
            << e.config.smt;
-        if (e.freqGhz > 0.0) {
-            char freq[40];
-            std::snprintf(freq, sizeof freq, "%.17g", e.freqGhz);
-            os << "@" << freq;
-        }
+        if (e.freqGhz > 0.0)
+            os << "@" << formatDouble(e.freqGhz);
         // Off-curve jobs append a V-terminated "@vddV" segment; the
         // trailing V disambiguates a lone vdd segment from a freq.
-        if (e.vdd > 0.0) {
-            char vdd[40];
-            std::snprintf(vdd, sizeof vdd, "%.17g", e.vdd);
-            os << "@" << vdd << "V";
-        }
+        if (e.vdd > 0.0)
+            os << "@" << formatDouble(e.vdd) << "V";
         os << " " << e.source << "\t" << e.workload << "\n";
     }
     return os.str();

@@ -5,6 +5,7 @@
 
 #include "util/hash.hh"
 
+#include <algorithm>
 #include <cstring>
 
 namespace mprobe
@@ -19,6 +20,50 @@ hashBytes(const void *data, size_t len, uint64_t h)
         h *= kFnvPrime;
     }
     return h;
+}
+
+namespace
+{
+
+/** hashBytesLanes for a fixed lane count: the states stay in
+ * registers across the byte loop. */
+template <size_t N>
+void
+lanesOf(const unsigned char *p, size_t len, uint64_t *h)
+{
+    uint64_t s[N];
+    for (size_t k = 0; k < N; ++k)
+        s[k] = h[k];
+    for (size_t i = 0; i < len; ++i)
+        for (size_t k = 0; k < N; ++k)
+            s[k] = (s[k] ^ p[i]) * kFnvPrime;
+    for (size_t k = 0; k < N; ++k)
+        h[k] = s[k];
+}
+
+} // namespace
+
+void
+hashBytesLanes(const void *data, size_t len, uint64_t *h,
+               size_t lanes)
+{
+    static_assert(kHashLanes == 8, "one lanesOf case per count");
+    const auto *p = static_cast<const unsigned char *>(data);
+    while (lanes > 0) {
+        size_t n = std::min(lanes, kHashLanes);
+        switch (n) {
+          case 1: h[0] = hashBytes(p, len, h[0]); break;
+          case 2: lanesOf<2>(p, len, h); break;
+          case 3: lanesOf<3>(p, len, h); break;
+          case 4: lanesOf<4>(p, len, h); break;
+          case 5: lanesOf<5>(p, len, h); break;
+          case 6: lanesOf<6>(p, len, h); break;
+          case 7: lanesOf<7>(p, len, h); break;
+          default: lanesOf<8>(p, len, h); break;
+        }
+        h += n;
+        lanes -= n;
+    }
 }
 
 uint64_t

@@ -28,6 +28,20 @@ constexpr uint64_t kFnvPrime = 1099511628211ull;
 uint64_t hashBytes(const void *data, size_t len,
                    uint64_t h = kFnvOffset);
 
+/** Most states hashBytesLanes advances in one pass over the data. */
+constexpr size_t kHashLanes = 8;
+
+/**
+ * FNV-1a of one byte range into @p lanes independent states: on
+ * return h[i] == hashBytes(data, len, h[i]) for every i. The data
+ * is read once per group of kHashLanes states and their chains are
+ * independent, so a group costs about one multiply per byte and
+ * lane at multiply throughput, where hashBytes pays the full
+ * xor-multiply latency per byte.
+ */
+void hashBytesLanes(const void *data, size_t len, uint64_t *h,
+                    size_t lanes);
+
 /** FNV-1a of a string. */
 uint64_t hashStr(const std::string &s);
 

@@ -6,6 +6,7 @@
 #include "util/str.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 
 #include "util/logging.hh"
@@ -95,6 +96,15 @@ parseDouble(const std::string &s, const std::string &context)
     if (t.empty() || end == nullptr || *end != '\0')
         fatal(cat("expected number, got '", s, "' in ", context));
     return v;
+}
+
+std::string
+formatDouble(double v)
+{
+    char buf[32];
+    auto r = std::to_chars(buf, buf + sizeof buf, v,
+                           std::chars_format::general, 17);
+    return std::string(buf, r.ptr);
 }
 
 } // namespace mprobe

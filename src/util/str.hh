@@ -36,6 +36,12 @@ long parseInt(const std::string &s, const std::string &context);
 /** Parse a floating point number; fatal() with @p context on failure. */
 double parseDouble(const std::string &s, const std::string &context);
 
+/**
+ * Round-trippable text of @p v: byte for byte what printf's "%.17g"
+ * prints (so exports keep their bytes), without its cost.
+ */
+std::string formatDouble(double v);
+
 } // namespace mprobe
 
 #endif // UTIL_STR_HH

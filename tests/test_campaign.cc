@@ -12,6 +12,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -422,6 +423,47 @@ TEST(CampaignMeasure, PerWorkloadConfigLists)
     EXPECT_TRUE(samplesEqual(samples[0], cross[0]));
     EXPECT_TRUE(samplesEqual(samples[1], cross[2]));
     EXPECT_TRUE(samplesEqual(samples[2], cross[3]));
+}
+
+TEST(CampaignMeasure, PerWorkloadConfigListsKeyAsCampaignJobKey)
+{
+    // Uneven per-workload plans on a swept frequency axis: 3, 15
+    // and 3 jobs, so one workload's keying spans more than one
+    // group of hash lanes, and 3.0 GHz collapses to the nominal
+    // key. Every job must key exactly as campaignJobKey does.
+    Fixture f;
+    auto progs = f.programs(3);
+    CampaignSpec spec = tinySpec();
+    spec.cacheDir = freshCacheDir("configs-per-keys");
+    spec.freqs = {2.5, 3.0, 3.5};
+    spec.salt = 7;
+    std::vector<std::vector<ChipConfig>> plan = {
+        {ChipConfig{1, 1}},
+        {ChipConfig{1, 1}, ChipConfig{2, 1}, ChipConfig{1, 2},
+         ChipConfig{2, 2}, ChipConfig{4, 1}},
+        {ChipConfig{1, 1}}};
+    Campaign c(f.machine, spec);
+    c.measure(progs, plan);
+
+    CampaignManifest m;
+    ASSERT_TRUE(loadManifest(manifestPath(spec.cacheDir), m));
+    ASSERT_EQ(m.entries.size(), 21u);
+    std::map<std::string, const Program *> by_name;
+    for (const auto &p : progs)
+        by_name[p.name] = &p;
+    size_t nominal = 0;
+    for (const auto &e : m.entries) {
+        ASSERT_TRUE(by_name.count(e.workload)) << e.workload;
+        EXPECT_EQ(e.key,
+                  campaignJobKey(*by_name[e.workload], e.config,
+                                 f.machine.fingerprint(), spec.salt,
+                                 e.freqGhz, e.vdd))
+            << e.workload << " " << e.config.cores << "-"
+            << e.config.smt << "@" << e.freqGhz;
+        if (e.freqGhz == 0.0)
+            ++nominal;
+    }
+    EXPECT_EQ(nominal, 7u);
 }
 
 // ---------------------------------------------------------------

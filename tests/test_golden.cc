@@ -6,7 +6,8 @@
  *
  * Pinned: the CSV exports of three campaign specs (the CI perf
  * spec, the DVFS sweep spec and the vdds x freqs undervolt spec),
- * the sorted cache-key listing of the perf spec, the core-sim
+ * the sorted cache-key listings of the perf and undervolt specs
+ * (the perf one at one and two threads), the core-sim
  * counter vectors of the test_core_sim corpus at SMT 1/2/4 and two
  * memory latencies, and the heterogeneous SMT co-runs of
  * test_extensions and bench_fig9.
@@ -50,6 +51,7 @@ const std::map<std::string, uint64_t> kGolden = {
     {"campaign.perf.keys", 0x25a7485dd0d99791ull},
     {"campaign.sweep.csv", 0xf8b99b0e86359654ull},
     {"campaign.uv.csv", 0x5b62334373c4ec05ull},
+    {"campaign.uv.keys", 0x0e9dc7bbfafe7e6full},
     {"core_sim.lat220.smt1", 0xc9f5fe1a97dac8daull},
     {"core_sim.lat220.smt2", 0x5cc0a2a14d758d47ull},
     {"core_sim.lat220.smt4", 0x9b22f7c9739a128aull},
@@ -112,12 +114,16 @@ const char *const kUndervoltSpec = "categories = memory, random\n"
                                    "bootstrap = 0\n"
                                    "threads = 1\n";
 
-/** Run @p spec_text as mprobe_campaign does; return its CSV. */
+/** Run @p spec_text as mprobe_campaign does, on @p threads workers
+ * (0 keeps the spec's own count); return its CSV. */
 std::string
-campaignCsv(const char *spec_text, const std::string &cache_dir = "")
+campaignCsv(const char *spec_text, const std::string &cache_dir = "",
+            int threads = 0)
 {
     CampaignSpec spec = parseCampaignSpecText(spec_text, "golden");
     spec.cacheDir = cache_dir;
+    if (threads > 0)
+        spec.threads = threads;
     Architecture arch = Architecture::get("POWER7");
     Machine machine(arch.isa(), arch.uarch().cacheGeometries(),
                     arch.uarch().clockGhz());
@@ -128,15 +134,11 @@ campaignCsv(const char *spec_text, const std::string &cache_dir = "")
     return os.str();
 }
 
-} // namespace
-
-TEST(Golden, PerfSpecExportAndCacheKeys)
+/** The sorted file listing of cache directory @p dir, one name a
+ * line: every job key plus the manifest. */
+std::string
+cacheListing(const std::string &dir)
 {
-    setLogLevel(LogLevel::Quiet);
-    std::string dir = testing::TempDir() + "mprobe-golden-perf";
-    std::filesystem::remove_all(dir);
-    expectGolden("campaign.perf.csv", hashStr(campaignCsv(kPerfSpec, dir)));
-
     std::vector<std::string> names;
     for (const auto &e : std::filesystem::directory_iterator(dir))
         names.push_back(e.path().filename().string());
@@ -145,7 +147,24 @@ TEST(Golden, PerfSpecExportAndCacheKeys)
     for (const auto &n : names)
         listing += n + "\n";
     EXPECT_GT(names.size(), 0u);
-    expectGolden("campaign.perf.keys", hashStr(listing));
+    return listing;
+}
+
+} // namespace
+
+TEST(Golden, PerfSpecExportAndCacheKeys)
+{
+    setLogLevel(LogLevel::Quiet);
+    std::string dir = testing::TempDir() + "mprobe-golden-perf";
+    std::filesystem::remove_all(dir);
+    expectGolden("campaign.perf.csv", hashStr(campaignCsv(kPerfSpec, dir)));
+    expectGolden("campaign.perf.keys", hashStr(cacheListing(dir)));
+    std::filesystem::remove_all(dir);
+
+    // Keying is spread over the campaign's workers: two of them
+    // must write exactly the same keys as one.
+    campaignCsv(kPerfSpec, dir, 2);
+    expectGolden("campaign.perf.keys", hashStr(cacheListing(dir)));
     std::filesystem::remove_all(dir);
 }
 
@@ -155,14 +174,20 @@ TEST(Golden, SweepSpecExport)
     expectGolden("campaign.sweep.csv", hashStr(campaignCsv(kSweepSpec)));
 }
 
-TEST(Golden, UndervoltSpecExport)
+TEST(Golden, UndervoltSpecExportAndCacheKeys)
 {
     setLogLevel(LogLevel::Quiet);
-    std::string csv = campaignCsv(kUndervoltSpec);
+    std::string dir = testing::TempDir() + "mprobe-golden-uv";
+    std::filesystem::remove_all(dir);
+    std::string csv = campaignCsv(kUndervoltSpec, dir);
     // The spec reaches below Vmin: both flags are exported.
     EXPECT_NE(csv.find(",0\n"), std::string::npos);
     EXPECT_NE(csv.find(",1\n"), std::string::npos);
     expectGolden("campaign.uv.csv", hashStr(csv));
+    // The keys of the freq axis, the tagged vdd axis and the
+    // on-curve collapse (1.0 V at 3.0 GHz keys as vdd-free).
+    expectGolden("campaign.uv.keys", hashStr(cacheListing(dir)));
+    std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------

@@ -187,8 +187,9 @@ TEST(Trace, SpansPairAndTimestampsAreMonotonePerThread)
     std::map<int, std::vector<std::string>> open;
     std::map<int, long long> last_ts;
     for (const ParsedEvent &e : evs) {
-        if (last_ts.count(e.tid))
+        if (last_ts.count(e.tid)) {
             EXPECT_GE(e.ts, last_ts[e.tid]) << e.name;
+        }
         last_ts[e.tid] = e.ts;
         if (e.phase == 'B') {
             open[e.tid].push_back(e.name);
@@ -517,6 +518,19 @@ TEST(TracedCampaign, SpansPresentAndExportsByteIdentical)
                 << e.args;
         }
     EXPECT_EQ(job_ends, r1.samples.size());
+    // Keying runs as one task slice per workload inside expand.
+    size_t key_ends = 0;
+    for (const ParsedEvent &e : parseTrace(cold_json))
+        if (e.name == "campaign.key" && e.phase == 'E')
+            ++key_ends;
+    EXPECT_EQ(key_ends, r1.workloads.size());
+
+    // The expand stage is timed apart, as the first part of the
+    // measurement phase.
+    EXPECT_GT(r1.expandSeconds, 0.0);
+    EXPECT_LE(r1.expandSeconds, r1.measureSeconds);
+    EXPECT_DOUBLE_EQ(obs::gauge("expand_seconds").value(),
+                     r1.expandSeconds);
 
     // Cold-run counters landed in the registry.
     EXPECT_EQ(obs::counter("cache_misses").value(),

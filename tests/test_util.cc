@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <sstream>
 
+#include "util/hash.hh"
 #include "util/regression.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
@@ -17,6 +21,34 @@
 #include "util/table.hh"
 
 using namespace mprobe;
+
+// ---------------------------------------------------------------
+// Hash lanes
+
+TEST(HashLanes, EqualSequentialHashPerLane)
+{
+    // Seeded content and seeded start states, at every lane count
+    // up to one past a full group, on lengths around the group
+    // size: each lane must end exactly where hashBytes ends.
+    Rng rng(0x1a9e5);
+    for (size_t len : {0u, 1u, 7u, 8u, 9u, 1000u}) {
+        std::vector<unsigned char> data(len);
+        for (auto &b : data)
+            b = static_cast<unsigned char>(rng.next());
+        for (size_t lanes = 1; lanes <= kHashLanes + 1; ++lanes) {
+            std::vector<uint64_t> seeds(lanes);
+            for (auto &h : seeds)
+                h = rng.next();
+            std::vector<uint64_t> h = seeds;
+            hashBytesLanes(data.data(), len, h.data(), lanes);
+            for (size_t k = 0; k < lanes; ++k)
+                EXPECT_EQ(h[k],
+                          hashBytes(data.data(), len, seeds[k]))
+                    << "len " << len << " lanes " << lanes
+                    << " lane " << k;
+        }
+    }
+}
 
 // ---------------------------------------------------------------
 // Rng
@@ -455,6 +487,40 @@ TEST(TextTable, RowCount)
     EXPECT_EQ(t.rows(), 0u);
     t.addRow({"1", "2"});
     EXPECT_EQ(t.rows(), 1u);
+}
+
+// ---------------------------------------------------------------
+// formatDouble
+
+TEST(FormatDouble, MatchesPrintfG17)
+{
+    auto printfG17 = [](double v) {
+        char buf[40];
+        std::snprintf(buf, sizeof buf, "%.17g", v);
+        return std::string(buf);
+    };
+    using lim = std::numeric_limits<double>;
+    std::vector<double> values = {
+        0.0, -0.0, 1.0, -1.0, 0.1, 1e-5, 1e-4, 1e16, 1e17, 1e300,
+        123456789012345678.0, lim::max(), lim::lowest(), lim::min(),
+        lim::denorm_min(), -lim::denorm_min(), lim::infinity(),
+        -lim::infinity(), lim::quiet_NaN(), -lim::quiet_NaN()};
+    // A NaN with a payload prints like any other NaN.
+    uint64_t payload_nan = 0x7ff8000000000123ull;
+    double v;
+    std::memcpy(&v, &payload_nan, sizeof v);
+    values.push_back(v);
+    // Random bit patterns (every exponent, denormals included) and
+    // export-like magnitudes.
+    Rng rng(0xf0a7);
+    for (int i = 0; i < 20000; ++i) {
+        uint64_t bits = rng.next();
+        std::memcpy(&v, &bits, sizeof v);
+        values.push_back(v);
+        values.push_back(rng.uniform(0.0, 200.0));
+    }
+    for (double x : values)
+        EXPECT_EQ(formatDouble(x), printfG17(x));
 }
 
 // ---------------------------------------------------------------

@@ -136,6 +136,7 @@ writeMetricsJson(const std::string &path, const CampaignSpec &spec,
       << res.generationSeconds << ",\n"
       << "  \"measurement_seconds\": " << res.measureSeconds
       << ",\n"
+      << "  \"expand_seconds\": " << res.expandSeconds << ",\n"
       << "  \"jobs_per_second\": " << jobs_per_sec << ",\n"
       << "  \"cache_hits\": " << res.cacheHits << ",\n"
       << "  \"cache_misses\": " << res.cacheMisses << ",\n"
@@ -195,7 +196,9 @@ readMetricsTimings(const std::string &path)
     os << f.rdbuf();
     std::string text = os.str();
 
-    auto list_at = text.find("\"job_seconds\"");
+    // The array, not the registry's histogram of the same name
+    // inside "metrics", which comes first.
+    auto list_at = text.find("\"job_seconds\": [");
     if (list_at == std::string::npos)
         fatal(cat("no \"job_seconds\" array in '", path,
                   "' — re-run the campaign with --metrics-json "
