@@ -57,26 +57,6 @@ envCacheDir()
     return d != nullptr ? d : "";
 }
 
-/**
- * Shard selector benches honour (MPROBE_SHARD=i/n, needs
- * MPROBE_CACHE_DIR): a sharded bench run measures only its slice
- * of the corpus into the shared cache — its printed figures are
- * partial — and the final unsharded run regenerates the figure
- * from all cache hits. Slices are cost-weighted (LPT striping over
- * estimated job cost, see campaign/cost.hh), so a mixed-config
- * corpus splits into shards of near-equal wall time, not just
- * equal job counts.
- */
-inline void
-envShard(int &index, int &count)
-{
-    index = 0;
-    count = 1;
-    const char *s = std::getenv("MPROBE_SHARD");
-    if (s != nullptr && s[0] != '\0')
-        parseShard(s, "MPROBE_SHARD", index, count);
-}
-
 /** Pipeline options at paper scale (or reduced in fast mode). */
 inline PipelineOptions
 paperPipelineOptions()
@@ -84,11 +64,9 @@ paperPipelineOptions()
     PipelineOptions po;
     // All measurement flows through the campaign engine: auto
     // worker count, result cache from MPROBE_CACHE_DIR so
-    // re-generating a figure reuses every already-measured point,
-    // optional shard slice from MPROBE_SHARD.
+    // re-generating a figure reuses every already-measured point.
     po.threads = 0;
     po.cacheDir = envCacheDir();
-    envShard(po.shardIndex, po.shardCount);
     if (fastMode()) {
         po.suite.bodySize = 1024;
         po.suite.perMemoryGroup = 2;
@@ -118,14 +96,13 @@ paperPipelineOptions()
 /**
  * Measurement-only campaign spec for the benches: auto worker
  * count, result cache from MPROBE_CACHE_DIR (so re-generating a
- * figure reuses every already-measured point), shard slice from
- * MPROBE_SHARD, no suite generation.
+ * figure reuses every already-measured point), no suite
+ * generation.
  */
 inline CampaignSpec
 benchCampaignSpec()
 {
     CampaignSpec spec = measurementSpec(0, envCacheDir());
-    envShard(spec.shardIndex, spec.shardCount);
     // Fast-mode benches measure a different (smaller) corpus than
     // full-size ones; tag the manifest so the two never accumulate
     // into one in a shared cache directory.

@@ -78,9 +78,10 @@ class ResultCache
 
     /**
      * Read the entry for @p key without touching hits()/misses().
-     * Sharded measure() uses this to fill off-shard slots from
-     * whatever other shards already measured, without distorting
-     * this run's cache statistics. An entry whose identity differs
+     * Serve workers use this to collect the jobs their peers
+     * measured, without distorting this run's cache statistics
+     * (and --merge to assemble an export). An entry whose identity
+     * differs
      * from *@p expect (when set) reads as absent.
      */
     bool peek(uint64_t key, Sample &out,
@@ -89,7 +90,7 @@ class ResultCache
     /**
      * Store a completed measurement under @p key. Returns false
      * (after warning) when the entry could not be persisted — the
-     * result is still valid in memory, but resumed/sharded runs
+     * result is still valid in memory, but resumed/served runs
      * will re-measure this job.
      */
     bool store(uint64_t key, const Sample &s) const;

@@ -178,44 +178,8 @@ campaignFingerprint(const CampaignSpec &spec,
     return h.digest();
 }
 
-std::vector<size_t>
-shardIndices(size_t n, int index, int count)
-{
-    std::vector<size_t> out;
-    if (count < 1 || index < 0 || index >= count)
-        fatal(cat("campaign: bad shard ", index, "/", count));
-    out.reserve(n / static_cast<size_t>(count) + 1);
-    for (size_t i = static_cast<size_t>(index); i < n;
-         i += static_cast<size_t>(count))
-        out.push_back(i);
-    return out;
-}
-
 namespace
 {
-
-/** The estimated costs of @p jobs, in job order. */
-std::vector<double>
-jobCosts(const std::vector<CampaignJob> &jobs)
-{
-    std::vector<double> costs;
-    costs.reserve(jobs.size());
-    for (const auto &job : jobs)
-        costs.push_back(job.cost);
-    return costs;
-}
-
-/** The jobs at @p indices, in index order. */
-std::vector<CampaignJob>
-jobsAt(const std::vector<CampaignJob> &jobs,
-       const std::vector<size_t> &indices)
-{
-    std::vector<CampaignJob> out;
-    out.reserve(indices.size());
-    for (size_t i : indices)
-        out.push_back(jobs[i]);
-    return out;
-}
 
 /** Per-job wall-seconds histogram, registered once (the registry
  * lookup locks; the hot loop must only touch atomics). Buckets span
@@ -229,15 +193,6 @@ jobHistogram()
 }
 
 } // namespace
-
-std::vector<size_t>
-costAwareShardIndices(const std::vector<CampaignJob> &jobs,
-                      int index, int count)
-{
-    if (count < 1 || index < 0 || index >= count)
-        fatal(cat("campaign: bad shard ", index, "/", count));
-    return costStripedShard(jobCosts(jobs), index, count);
-}
 
 std::vector<JobGroup>
 jobGroups(const std::vector<CampaignJob> &jobs)
@@ -354,19 +309,6 @@ Campaign::Campaign(const Machine &m, CampaignSpec s)
     spec.threads = resolveThreads(spec.threads, "campaign");
     if (spec.configs.empty())
         fatal("campaign: no configurations to deploy on");
-    if (spec.shardCount < 1 || spec.shardIndex < 0 ||
-        spec.shardIndex >= spec.shardCount)
-        fatal(cat("campaign: bad shard ", spec.shardIndex, "/",
-                  spec.shardCount,
-                  " (want 0 <= index < count)"));
-    if (spec.sharded() && !cache.enabled())
-        fatal("campaign: sharded execution needs a cache "
-              "directory shared by all shards (results live "
-              "there; --merge assembles them)");
-    if (spec.serve && spec.sharded())
-        fatal("campaign: --serve replaces --shard (claim-based "
-              "workers partition the pool dynamically); use one "
-              "or the other");
     if (spec.serve && !cache.enabled())
         fatal("campaign: --serve needs a cache directory shared "
               "by the worker fleet (claims and results live "
@@ -536,8 +478,8 @@ Campaign::writeManifest(
              w.program.name, job.freqGhz, job.vdd});
     }
     // Merge-accumulate: repeated measure() calls (the model
-    // pipeline issues several) grow one manifest, and every shard
-    // of one campaign persists the identical full job list. The
+    // pipeline issues several) grow one manifest, and every serve
+    // worker of one campaign persists the identical job list. The
     // service points manifestDir at a per-campaign directory so
     // many concurrent campaigns can share one cache.
     const std::string &mdir = spec.manifestDir.empty()
@@ -550,24 +492,16 @@ Campaign::writeManifest(
 
 Campaign::JobRunOutcome
 Campaign::runJobs(const std::vector<CampaignWorkload> &workloads,
-                  const std::vector<CampaignJob> &jobs,
-                  size_t campaign_total)
+                  const std::vector<CampaignJob> &jobs)
 {
-    std::string shard_tag =
-        spec.sharded() ? cat(" [shard ", spec.shardIndex, "/",
-                             spec.shardCount, " of ",
-                             campaign_total, " campaign jobs]")
-                       : std::string();
     inform(cat("campaign: measuring ", jobs.size(), " jobs (",
                workloads.size(), " workloads) on ", spec.threads,
-               spec.threads == 1 ? " thread" : " threads",
-               shard_tag));
+               spec.threads == 1 ? " thread" : " threads"));
 
     // Progress reporting: an atomic completion counter plus a
     // time-throttled reporter election (compare-exchange on the
     // next report deadline, so exactly one worker prints each
-    // line). The denominator is this call's job count; under a
-    // shard the campaign-wide total gives context.
+    // line).
     // lint: wallclock-ok(progress/ETA and claim heartbeats only)
     using clock = std::chrono::steady_clock;
     const auto t0 = clock::now();
@@ -653,8 +587,8 @@ Campaign::runJobs(const std::vector<CampaignWorkload> &workloads,
                               "s left");
             }
             inform(cat("campaign: ", k, " of ", jobs.size(),
-                       " jobs done, ", cached.load(), " cached", eta,
-                       shard_tag));
+                       " jobs done, ", cached.load(), " cached",
+                       eta));
         }
     };
 
@@ -773,7 +707,7 @@ Campaign::runClaimed(
     // The pool is drained: every job of the campaign is in the
     // cache. Load the peer-measured slots so this worker returns
     // the complete sample set in job order — its export is
-    // byte-identical to an unsharded run's. A result that vanished
+    // byte-identical to a plain run's. A result that vanished
     // or went corrupt between drain and collection is re-measured
     // locally rather than exported as a hole.
     JobExecutor collector(cache);
@@ -816,7 +750,7 @@ Campaign::expand(Architecture &arch)
         std::vector<std::vector<ChipConfig>>(out.workloads.size(),
                                              spec.configs));
     // The manifest is persisted before any measurement — the full
-    // job list, so interrupted/sharded/served runs can always
+    // job list, so interrupted or served runs can always
     // report what is left and --merge sees every job.
     writeManifest(out.workloads, out.jobs);
     return out;
@@ -836,29 +770,19 @@ Campaign::run(Architecture &arch)
                   static_cast<double>(res.workloads.size()));
     }
     auto t1 = clock::now();
-    std::vector<CampaignJob> all_jobs;
     {
         obs::TraceSpan span("campaign.expand");
-        all_jobs = expandJobs(
+        res.jobs = expandJobs(
             res.workloads,
             std::vector<std::vector<ChipConfig>>(
                 res.workloads.size(), spec.configs));
-        span.note("jobs", static_cast<double>(all_jobs.size()));
-        // The manifest is persisted before measurement starts —
-        // always the *full* job list, so an interrupted or sharded
-        // run can always report what is left and --merge sees
-        // every job.
-        writeManifest(res.workloads, all_jobs);
+        span.note("jobs", static_cast<double>(res.jobs.size()));
+        // The manifest is persisted before measurement starts, so
+        // an interrupted or served run can always report what is
+        // left and --merge sees every job.
+        writeManifest(res.workloads, res.jobs);
     }
-    res.totalJobs = all_jobs.size();
     auto t_expanded = clock::now();
-    if (spec.sharded())
-        res.jobs = jobsAt(all_jobs,
-                          costAwareShardIndices(all_jobs,
-                                                spec.shardIndex,
-                                                spec.shardCount));
-    else
-        res.jobs = std::move(all_jobs);
     size_t hits0 = cache.hits(), misses0 = cache.misses();
     size_t corrupt0 = cache.corrupt();
     JobRunOutcome outcome;
@@ -866,8 +790,7 @@ Campaign::run(Architecture &arch)
         obs::TraceSpan span("campaign.measure");
         outcome = spec.serve
                       ? runClaimed(res.workloads, res.jobs)
-                      : runJobs(res.workloads, res.jobs,
-                                res.totalJobs);
+                      : runJobs(res.workloads, res.jobs);
         span.note("jobs", static_cast<double>(res.jobs.size()));
     }
     res.samples = std::move(outcome.samples);
@@ -900,46 +823,6 @@ Campaign::run(Architecture &arch)
     inform(cat("campaign: done; cache ", res.cacheHits, " hits / ",
                res.cacheMisses, " misses"));
     return res;
-}
-
-CampaignPlan
-Campaign::plan(Architecture &arch, int shard_count)
-{
-    if (shard_count == 0)
-        shard_count = spec.shardCount;
-    if (shard_count < 1)
-        fatal(cat("campaign: bad plan shard count ", shard_count));
-
-    CampaignPlan out;
-    out.workloads = expandWorkloads(arch);
-    out.jobList = expandJobs(
-        out.workloads,
-        std::vector<std::vector<ChipConfig>>(out.workloads.size(),
-                                             spec.configs));
-    out.totalJobs = out.jobList.size();
-
-    std::vector<double> costs = jobCosts(out.jobList);
-    for (double c : costs)
-        out.totalCost += c;
-
-    std::vector<std::vector<size_t>> striped =
-        costStripedPartition(costs, shard_count);
-    std::vector<std::vector<size_t>> rr;
-    rr.reserve(static_cast<size_t>(shard_count));
-    for (int s = 0; s < shard_count; ++s)
-        rr.push_back(
-            shardIndices(out.totalJobs, s, shard_count));
-    out.stripedImbalance = costImbalance(costs, striped);
-    out.roundRobinImbalance = costImbalance(costs, rr);
-    for (int s = 0; s < shard_count; ++s) {
-        out.shards.push_back(
-            {striped[static_cast<size_t>(s)],
-             summedCost(costs, striped[static_cast<size_t>(s)])});
-        out.roundRobin.push_back(
-            {rr[static_cast<size_t>(s)],
-             summedCost(costs, rr[static_cast<size_t>(s)])});
-    }
-    return out;
 }
 
 namespace
@@ -981,49 +864,10 @@ Campaign::measure(
     auto jobs = expandJobs(workloads, configs_per);
     // measure() campaigns are manifest-covered too: benches and
     // the model pipeline accumulate their job lists next to the
-    // shared cache, which is what makes --resume and --merge (and
-    // therefore sharding) work for them.
+    // shared cache, which is what makes --resume and --merge work
+    // for them.
     writeManifest(workloads, jobs);
-    if (!spec.sharded())
-        return runJobs(workloads, jobs, jobs.size()).samples;
-
-    // Sharded measure(): run this shard's slice, then fill
-    // off-shard slots from the shared cache. Slots no other shard
-    // has measured yet stay placeholders (correct workload/config,
-    // zeroed measurements): a sharded bench run warms the cache,
-    // the final unsharded all-hit run computes the figures.
-    std::vector<size_t> mine = costAwareShardIndices(
-        jobs, spec.shardIndex, spec.shardCount);
-    std::vector<Sample> measured =
-        runJobs(workloads, jobsAt(jobs, mine), jobs.size())
-            .samples;
-
-    std::vector<Sample> out(jobs.size());
-    std::vector<char> filled(jobs.size(), 0);
-    for (size_t k = 0; k < mine.size(); ++k) {
-        out[mine[k]] = std::move(measured[k]);
-        filled[mine[k]] = 1;
-    }
-    size_t holes = 0;
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        if (filled[i])
-            continue;
-        Sample expect = JobExecutor::identity(
-            machine, workloads[jobs[i].workload].program, jobs[i]);
-        if (cache.peek(jobs[i].key, out[i], &expect))
-            continue;
-        out[i] = std::move(expect);
-        out[i].rates.assign(dynamicFeatureNames().size(), 0.0);
-        ++holes;
-    }
-    if (holes > 0)
-        warn(cat("campaign: shard ", spec.shardIndex, "/",
-                 spec.shardCount, ": ", holes, " of ",
-                 jobs.size(), " jobs not yet in the shared "
-                 "cache; their samples are zero placeholders — "
-                 "run the remaining shards, then re-run unsharded "
-                 "(all cache hits) before consuming results"));
-    return out;
+    return runJobs(workloads, jobs).samples;
 }
 
 CampaignSpec

@@ -43,9 +43,9 @@ struct CampaignJob
     /** Content hash: program + config + operating point + machine
      * + salt. */
     uint64_t key = 0;
-    /** Estimated relative cost (JobCostModel), for cost-striped
-     * sharding and longest-first pool draining. Execution detail:
-     * never part of the key or the manifest. */
+    /** Estimated relative cost (JobCostModel), for longest-first
+     * draining and the ETA. Execution detail: never part of the key
+     * or the manifest. */
     double cost = 0.0;
     /**
      * Swept core frequency in GHz; 0 selects the machine's nominal
@@ -79,17 +79,12 @@ struct CampaignWorkload
 /** Everything a campaign run produces. */
 struct CampaignResult
 {
-    /** One sample per executed job, in job order (workload-major).
-     * Under a shard spec this covers only this shard's slice. */
+    /** One sample per job, in job order (workload-major). */
     std::vector<Sample> samples;
     /** The generated corpus the samples cover. */
     std::vector<CampaignWorkload> workloads;
-    /** Executed jobs (parallel to samples; the shard slice when
-     * sharded). */
+    /** The campaign's jobs (parallel to samples). */
     std::vector<CampaignJob> jobs;
-    /** Full campaign job count before shard slicing (equals
-     * jobs.size() for an unsharded run). */
-    size_t totalJobs = 0;
     /** Cache statistics of this run. */
     size_t cacheHits = 0;
     size_t cacheMisses = 0;
@@ -150,33 +145,6 @@ uint64_t campaignFingerprint(const CampaignSpec &spec,
                              uint64_t machine_fingerprint);
 
 /**
- * Count-balanced round-robin shard partition: the indices i in
- * [0, n) with i % count == index. Superseded by cost-aware striping
- * (costAwareShardIndices) for the engine's own shard selection —
- * round-robin balances job counts, not job costs — but kept as the
- * deterministic baseline the cost-striped schedule is measured
- * against (tests, the --plan dry run and the shard-balance CI
- * smoke report both).
- */
-std::vector<size_t> shardIndices(size_t n, int index, int count);
-
-/**
- * The engine's shard partition: deterministic cost-weighted
- * striping (LPT greedy over job.cost, see campaign/cost.hh) of the
- * expanded job list. Like the round-robin partition it is a pure
- * function of the (ordered) job list — never of scheduling or
- * cache state — so every shard of one campaign computes the
- * identical partition on its own, the union over all shards is
- * exactly the unsharded job list, and --merge exports stay
- * byte-identical to an unsharded run. Unlike round-robin, the
- * summed estimated cost per shard is near-balanced even when the
- * config mix is skewed (an 8-4 job costs ~32x a 1-1 job).
- */
-std::vector<size_t>
-costAwareShardIndices(const std::vector<CampaignJob> &jobs,
-                      int index, int count);
-
-/**
  * Jobs that share a workload and an SMT mode: the unit one worker
  * runs back to back, so its executor's Batch memo serves the
  * group's core counts and operating points (the core simulation
@@ -212,36 +180,6 @@ std::vector<JobGroup> jobGroups(const std::vector<CampaignJob> &jobs);
  */
 std::vector<PoolJob> claimPool(const std::vector<CampaignJob> &jobs,
                                size_t base = 0);
-
-/** Per-shard slice of a campaign plan (--plan dry run). */
-struct CampaignShardPlan
-{
-    /** Expansion indices of this shard's jobs, ascending. */
-    std::vector<size_t> jobs;
-    /** Summed estimated cost of those jobs. */
-    double cost = 0.0;
-};
-
-/** What Campaign::plan computes: the cost-striped schedule of a
- * campaign, next to the round-robin baseline it replaces. */
-struct CampaignPlan
-{
-    /** Full expanded job count. */
-    size_t totalJobs = 0;
-    /** Summed estimated cost of every job. */
-    double totalCost = 0.0;
-    /** Cost-striped shard slices (what the engine executes). */
-    std::vector<CampaignShardPlan> shards;
-    /** Round-robin slices of the same jobs (comparison baseline). */
-    std::vector<CampaignShardPlan> roundRobin;
-    /** max/min summed shard cost, both schemes (1 = perfect). */
-    double stripedImbalance = 1.0;
-    double roundRobinImbalance = 1.0;
-    /** The generated corpus behind the jobs (label lookups). */
-    std::vector<CampaignWorkload> workloads;
-    /** The expanded jobs the indices refer to. */
-    std::vector<CampaignJob> jobList;
-};
 
 /** A campaign expanded but not yet measured: what the service's
  * ingest step produces and its shared pool consumes. */
@@ -282,15 +220,15 @@ class JobExecutor
     Outcome collect(const Machine &machine, const Program &prog,
                     const CampaignJob &job);
 
+  private:
+    ResultCache &cache;
+    Machine::Batch batch;
+
     /** What a sample of @p job must say it is: workload, config and
      * the operating point it measures at, measurements zeroed. */
     static Sample identity(const Machine &machine,
                            const Program &prog,
                            const CampaignJob &job);
-
-  private:
-    ResultCache &cache;
-    Machine::Batch batch;
 
     /** Measure @p job at @p id's operating point; store it. */
     Sample measure(const Machine &machine, const Program &prog,
@@ -315,11 +253,10 @@ class Campaign
      * out. Generation is serial and deterministic; only the
      * embarrassingly parallel measurement phase fans out.
      *
-     * Under a shard spec, the full job list is still expanded and
-     * persisted to the manifest, but only this shard's slice is
-     * measured and returned (result.totalJobs keeps the full
-     * count); once every shard has run against the shared cache
-     * directory, `mprobe_campaign --merge` assembles the complete
+     * The full job list is persisted to the manifest before any
+     * measurement. Under a serve spec this process drains the
+     * campaign's claim pool with its peers and still returns every
+     * job's sample; `mprobe_campaign --merge` assembles the same
      * export from the manifest and the cache.
      */
     CampaignResult run(Architecture &arch);
@@ -333,17 +270,6 @@ class Campaign
      * measurement phase.
      */
     CampaignExpansion expand(Architecture &arch);
-
-    /**
-     * Dry run (--plan): generate the spec's workloads and expand
-     * its jobs exactly like run(), but partition instead of
-     * measuring — no manifest write, no cache traffic, no samples.
-     * @p shard_count overrides the spec's shard count (0 keeps it);
-     * an unsharded plan is one shard holding every job. Generation
-     * still runs (job costs need the generated body sizes), so a
-     * plan of an expensive spec costs its generation phase.
-     */
-    CampaignPlan plan(Architecture &arch, int shard_count = 0);
 
     /**
      * Lower-level entry: measure an explicit workload list across
@@ -365,13 +291,7 @@ class Campaign
      *
      * Both overloads persist (merge-accumulate) their expanded job
      * list into the cache directory's manifest, so --resume and
-     * --merge cover bench/pipeline measurements too. Under a shard
-     * spec only the shard's slice is measured; off-shard slots are
-     * filled from the shared cache when another shard already
-     * measured them, and otherwise left as placeholder samples
-     * (correct workload/config, zeroed measurements) with a
-     * warning — a sharded bench run warms the cache, the final
-     * unsharded (all-hit) run computes the figures.
+     * --merge cover bench/pipeline measurements too.
      */
     std::vector<Sample>
     measure(const std::vector<Program> &programs,
@@ -389,8 +309,8 @@ class Campaign
     CampaignSpec spec;
     ResultCache cache;
     uint64_t machineFp;
-    /** Relative-cost estimator behind cost-striped sharding and
-     * longest-first local ordering. */
+    /** Relative-cost estimator behind longest-first ordering and
+     * the ETA. */
     JobCostModel costModel;
 
     /** Expand spec workloads (generation phase). */
@@ -416,16 +336,10 @@ class Campaign
         size_t claimsStolen = 0;
     };
 
-    /**
-     * Execute pre-expanded jobs on the pool; the parallel phase.
-     * @p campaign_total is the full campaign's job count (the
-     * progress-line denominator context when @p jobs is a shard
-     * slice of it).
-     */
+    /** Execute pre-expanded jobs on the pool; the parallel phase. */
     JobRunOutcome
     runJobs(const std::vector<CampaignWorkload> &workloads,
-            const std::vector<CampaignJob> &jobs,
-            size_t campaign_total);
+            const std::vector<CampaignJob> &jobs);
 
     /**
      * Claim-based execution (--serve): this worker's threads pull
@@ -434,7 +348,7 @@ class Campaign
      * their claims pass the TTL. Returns only when every job of
      * the campaign is in the cache — the outcome covers all @p
      * jobs (peer-measured ones loaded from the cache), so a serve
-     * worker's export is byte-identical to an unsharded run's.
+     * worker's export is byte-identical to a plain run's.
      */
     JobRunOutcome
     runClaimed(const std::vector<CampaignWorkload> &workloads,

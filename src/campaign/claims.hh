@@ -3,11 +3,11 @@
  * Atomic per-job claim files: work stealing over a shared cache
  * directory.
  *
- * Static sharding (campaign/cost.hh) balances *estimated* cost
- * across a fixed worker set decided up front. A fleet of
- * heterogeneous, killable workers needs dynamic balance instead:
- * every worker pulls the next unfinished job from one shared pool,
- * and a job whose worker died is eventually re-run by a survivor.
+ * This is the one way to split a campaign across processes or
+ * hosts. A fleet of heterogeneous, killable workers needs dynamic
+ * balance: every worker pulls the next unfinished job from one
+ * shared pool, and a job whose worker died is eventually re-run by
+ * a survivor.
  *
  * The coordination primitive is a claim file per job key inside the
  * shared cache directory: `<key>.claim`, created with O_CREAT|O_EXCL

@@ -1,26 +1,18 @@
 /**
  * @file
- * Per-job cost estimation and cost-weighted shard scheduling.
+ * Per-job cost estimation.
  *
- * Round-robin sharding by expansion index balances job *counts*,
- * but campaign jobs are far from uniform: simulating a workload on
- * an 8-core SMT-4 configuration walks 32 hardware-thread contexts
- * over the loop body, while the 1-1 configuration walks one. A
- * mixed-config campaign round-robined across shards can leave one
- * shard with several times the wall time of another.
- *
- * The JobCostModel estimates the relative cost of one (workload,
+ * Campaign jobs are far from uniform: simulating a workload on an
+ * 8-core SMT-4 configuration walks 32 hardware-thread contexts over
+ * the loop body, while the 1-1 configuration walks one. The
+ * JobCostModel estimates the relative cost of one (workload,
  * configuration) job from what the simulator actually scales with —
- * deployed hardware threads x loop body size — and the partition
- * functions below turn those estimates into a deterministic
- * LPT-style (longest processing time first) greedy striping:
- * jobs are taken in descending cost order and each is assigned to
- * the currently lightest shard. For a fixed job list the partition
- * is a pure function of the costs, so every shard of one campaign
- * computes the identical partition independently, the union over
- * all shards is exactly the unsharded job list, and `--merge` stays
- * byte-identical to an unsharded run (the manifest, not the
- * partition, dictates export order).
+ * deployed hardware threads x loop body size. Plain runs and the
+ * claim pool both start the costliest (workload, SMT) groups first
+ * by this estimate, so no long job straggles at the end, and the
+ * progress line's ETA is weighted by it. It is never part of a job
+ * key, the manifest or an export. `mprobe_campaign --calibrate`
+ * refits its constants from measured wall times.
  */
 
 #ifndef CAMPAIGN_COST_HH
@@ -57,36 +49,6 @@ struct JobCostModel
                             static_cast<double>(body_size);
     }
 };
-
-/**
- * Deterministic LPT greedy partition of jobs with the given
- * @p costs into @p count shards. Jobs are visited in descending
- * cost order (ties by ascending index) and each is assigned to the
- * shard with the smallest accumulated cost (ties by ascending shard
- * number); each shard's index list comes back sorted ascending.
- * The shards are disjoint and cover [0, costs.size()) exactly.
- */
-std::vector<std::vector<size_t>>
-costStripedPartition(const std::vector<double> &costs, int count);
-
-/** Shard @p index of costStripedPartition(costs, count). */
-std::vector<size_t>
-costStripedShard(const std::vector<double> &costs, int index,
-                 int count);
-
-/** Total cost of the jobs at @p indices. */
-double summedCost(const std::vector<double> &costs,
-                  const std::vector<size_t> &indices);
-
-/**
- * Imbalance of a partition: max over min summed shard cost (>= 1;
- * 1 is perfect balance). An empty shard yields +inf unless every
- * shard is empty (ratio 1). The shard-balance CI smoke and the
- * --plan dry run report this number for the cost-striped schedule
- * next to the round-robin baseline.
- */
-double costImbalance(const std::vector<double> &costs,
-                     const std::vector<std::vector<size_t>> &shards);
 
 /** One measured job wall time, as recorded in the campaign's
  * --metrics-json (cache hits are excluded from calibration: they
@@ -130,6 +92,14 @@ struct CostCalibration
  */
 CostCalibration
 calibrateJobCostModel(const std::vector<JobTiming> &timings);
+
+/**
+ * Whether @p fitted's per-job overhead is within 2x of the shipped
+ * default's (the `--calibrate` verdict). A fitted perJob of 0 —
+ * what a negative intercept clamps to — differs: a fit that calls
+ * every job's overhead free does not confirm any default.
+ */
+bool perJobWithinDefault(const JobCostModel &fitted);
 
 } // namespace mprobe
 

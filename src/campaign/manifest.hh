@@ -95,10 +95,10 @@ void saveManifest(const std::string &path, const CampaignManifest &m);
  * missing or different-fingerprint manifest is overwritten. This
  * lets the measure() overloads accumulate one manifest across many
  * calls (the model pipeline issues several per run) and lets every
- * shard of one campaign persist the identical full job list.
+ * serve worker of one campaign persist the identical job list.
  * Concurrent same-fingerprint writers with *different* entry sets
  * can lose each other's additions (load-merge-store is not
- * transactional); shards of one campaign write identical content,
+ * transactional); workers of one campaign write identical content,
  * so the race is harmless there.
  */
 void mergeSaveManifest(const std::string &path,
@@ -118,9 +118,9 @@ struct ManifestCollection
 
 /**
  * Resolve every manifest entry against the cache, in manifest
- * order — the merge step of a sharded campaign. When missing comes
+ * order — the merge step of a served campaign. When missing comes
  * back empty, samples is the complete campaign: exporting it is
- * bit-identical to the export of an unsharded run, because the
+ * bit-identical to the export of a plain run, because the
  * manifest preserves job order and cached samples round-trip
  * exactly. Does not touch @p cache statistics.
  */

@@ -64,8 +64,6 @@ CampaignSpec::summary() const
         os << threads << (threads == 1 ? " thread" : " threads");
     if (!cacheDir.empty())
         os << ", cache " << cacheDir;
-    if (sharded())
-        os << ", shard " << shardIndex << "/" << shardCount;
     if (serve)
         os << ", serve (claim TTL " << claimTtlSeconds << "s)";
     return os.str();
@@ -129,23 +127,6 @@ parseVddList(const std::string &s, const std::string &context)
     if (out.empty())
         fatal(cat("empty voltage list in ", context));
     return out;
-}
-
-void
-parseShard(const std::string &s, const std::string &context,
-           int &index, int &count)
-{
-    auto parts = split(trim(s), '/');
-    if (parts.size() != 2)
-        fatal(cat("bad shard '", trim(s),
-                  "' (want index/count, e.g. 0/4) in ", context));
-    index = static_cast<int>(parseInt(parts[0], context));
-    count = static_cast<int>(parseInt(parts[1], context));
-    if (count < 1)
-        fatal(cat("shard count must be >= 1 in ", context));
-    if (index < 0 || index >= count)
-        fatal(cat("shard index ", index, " out of range [0, ",
-                  count, ") in ", context));
 }
 
 BenchCategory
@@ -239,9 +220,6 @@ parseCampaignSpecText(const std::string &text,
                 static_cast<uint64_t>(parseInt(val, context));
         } else if (key == "bootstrap") {
             spec.bootstrap = parseInt(val, context) != 0;
-        } else if (key == "shard") {
-            parseShard(val, context, spec.shardIndex,
-                       spec.shardCount);
         } else if (key == "progress_seconds") {
             spec.progressSeconds = parseDouble(val, context);
             if (spec.progressSeconds < 0)

@@ -93,34 +93,20 @@ struct CampaignSpec
     /** Bootstrap the architecture before generation (IPC-targeted
      * categories need measured latencies). */
     bool bootstrap = true;
-    /**
-     * Shard selection ("shard = i/n"): this process measures only
-     * its slice of the expanded job list under the deterministic
-     * cost-weighted striping of campaign/cost.hh (LPT greedy over
-     * estimated per-job cost — a pure function of the job list, so
-     * every shard computes the identical partition independently).
-     * The union over all shards is exactly the unsharded campaign;
-     * the manifest always lists the full job list, so any shard's
-     * cache directory can answer --resume and --merge for the
-     * whole campaign. Execution detail: never part of job keys or
-     * the campaign fingerprint.
-     */
-    int shardIndex = 0;  // lint: fingerprint-exempt(slice selection only)
-    int shardCount = 1;  // lint: fingerprint-exempt(slice selection only)
     /** Seconds between "k of n jobs done" progress lines while
      * measuring (0 disables). */
     double progressSeconds = 10.0; // lint: fingerprint-exempt(reporting cadence)
     /**
      * Claim-based service execution ("serve = 1", `--serve`): this
      * worker pulls jobs from the campaign's shared pool through
-     * per-job claim files in the cache directory instead of
-     * measuring a statically-assigned slice. Any number of --serve
-     * workers drain one pool: each claims the next unfinished job
-     * (cost order), jobs of a dead worker are stolen once their
-     * claim outlives claimTtlSeconds, and every worker finishes
-     * with the complete sample set (all results are in the shared
-     * cache when the pool drains). Mutually exclusive with
-     * sharding; --merge semantics are unchanged.
+     * per-job claim files in the cache directory: the one way to
+     * split a campaign across processes or hosts. Any number of
+     * --serve workers drain one pool: each claims the next
+     * unfinished job (cost order), jobs of a dead worker are
+     * stolen once their claim outlives claimTtlSeconds, and every
+     * worker finishes with the complete sample set (all results
+     * are in the shared cache when the pool drains). `--merge`
+     * assembles the same export from the manifest and the cache.
      */
     bool serve = false; // lint: fingerprint-exempt(execution mode, same job set)
     /** Stale-claim TTL in seconds ("claim_ttl_seconds",
@@ -158,9 +144,6 @@ struct CampaignSpec
      */
     uint64_t corpusTag = 0;
     /**@}*/
-
-    /** Whether this spec selects a strict subset of the jobs. */
-    bool sharded() const { return shardCount > 1; }
 
     /** Workloads per config is not knowable before generation, but
      * configs-per-workload is: */
@@ -207,14 +190,6 @@ std::vector<double> parseFreqList(const std::string &s,
  */
 std::vector<double> parseVddList(const std::string &s,
                                  const std::string &context);
-
-/**
- * Parse a shard selector "i/n" (0 <= i < n, n >= 1) as accepted by
- * the `shard` spec key and `mprobe_campaign --shard`. fatal() with
- * @p context on malformed input.
- */
-void parseShard(const std::string &s, const std::string &context,
-                int &index, int &count);
 
 /** Parse a category name as used in spec files (e.g. "memory"). */
 BenchCategory parseBenchCategory(const std::string &s,

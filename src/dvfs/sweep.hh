@@ -80,8 +80,8 @@ struct SweepAnalysis
  * Group samples by (workload, configuration), order each group's
  * points by frequency and select the energy-optimal operating point
  * under EPI, EDP and ED^2P. Placeholder samples (no instruction
- * rate, e.g. off-shard slots of a sharded bench run) and unreliable
- * samples (below-Vmin undervolted points) are skipped. fatal() when
+ * rate) and unreliable samples (below-Vmin undervolted points) are
+ * skipped. fatal() when
  * the remaining samples span fewer than two distinct frequencies:
  * a single-point "sweep" would report that point as every optimum.
  */

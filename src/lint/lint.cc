@@ -160,7 +160,7 @@ const char *const kUnorderedTypes[] = {
 bool
 unorderedScope(const std::string &path)
 {
-    // Everything whose output is byte-compared across runs, shards
+    // Everything whose output is byte-compared across runs, threads
     // and workers: exports, cache serialization, manifests, the
     // spec/campaign fingerprints, machine fingerprint, the hasher
     // itself, and the service's streamed status/exports.

@@ -3,7 +3,7 @@
  * Project-specific static analysis: the mprobe invariant linter.
  *
  * The reproduction's load-bearing guarantees are invisible to the
- * compiler: campaigns must be bit-identical at any worker/shard
+ * compiler: campaigns must be bit-identical at any thread/worker
  * count, exports and manifests must be byte-stable, cache keys and
  * fingerprints must cover every result-relevant parameter, and the
  * decoded simulator hot path must never touch the heap. Each rule

@@ -81,10 +81,10 @@ CampaignService::ingestSpec(const std::string &path)
         ScopedFatalThrows guard;
         obs::TraceSpan span("service.ingest");
         CampaignSpec spec = loadCampaignSpec(path);
-        if (spec.sharded() || spec.serve)
+        if (spec.serve)
             warn(cat("service: campaign '", name,
-                     "': shard/serve keys are meaningless under "
-                     "the service (the pool is dynamic) and were "
+                     "': the serve key is meaningless under the "
+                     "service (the pool is dynamic) and was "
                      "ignored"));
         // The service owns execution: one shared cache + claim
         // pool, a per-campaign manifest directory, and serial
@@ -93,8 +93,6 @@ CampaignService::ingestSpec(const std::string &path)
         spec.cacheDir = opts.cacheDir;
         spec.manifestDir = campaignDir(name);
         spec.serve = false;
-        spec.shardIndex = 0;
-        spec.shardCount = 1;
         spec.threads = 1;
         spec.suite.threads = 1;
 

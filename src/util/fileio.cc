@@ -49,8 +49,8 @@ atomicWriteFile(const std::string &path,
     if (ec) {
         warn(cat(what, ": cannot publish ", path, ": ",
                  ec.message()));
-        // The temp must not outlive the failure: shard runs share
-        // cache directories, and leaked .tmp.<pid>.<tid> files
+        // The temp must not outlive the failure: serve workers
+        // share cache directories, and leaked .tmp.<pid>.<tid> files
         // would accumulate across processes.
         std::error_code rm_ec;
         fs::remove(tmp_name.str(), rm_ec);

@@ -1,6 +1,7 @@
 #!/bin/sh
-# DVFS frequency axis: a sharded operating-point sweep must merge
-# byte-identical to the unsharded sweep, the export must carry the
+# DVFS frequency axis: an operating-point sweep drained by two
+# concurrent --serve workers must merge byte-identical to a plain
+# single-threaded sweep, the export must carry the
 # freq_ghz/epi_j/edp columns, and --calibrate must refit the cost
 # model from the per-job wall times a --metrics-json run records.
 #
@@ -21,9 +22,12 @@ printf '%s\n' 'categories = memory, random' \
 "$bin" --spec dvfs.spec --threads 1 --cache-dir ref --quiet \
     --csv dvfs-ref.csv
 head -1 dvfs-ref.csv | grep -q 'freq_ghz,epi_j,edp,vdd_volts,reliable'
-for s in 0 1; do
-    "$bin" --spec dvfs.spec --shard "$s/2" --cache-dir pool --quiet
-done
+"$bin" --spec dvfs.spec --serve --threads 2 --claim-poll 0.1 \
+    --cache-dir pool --quiet &
+worker_a=$!
+"$bin" --spec dvfs.spec --serve --threads 2 --claim-poll 0.1 \
+    --cache-dir pool --quiet
+wait "$worker_a"
 "$bin" --cache-dir pool --merge --csv dvfs-merged.csv --quiet
 cmp dvfs-ref.csv dvfs-merged.csv
 "$bin" --spec dvfs.spec --threads 1 --cache-dir cal --quiet \

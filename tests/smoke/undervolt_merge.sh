@@ -1,6 +1,7 @@
 #!/bin/sh
-# Undervolting axis: a sharded vdds x freqs cross-product sweep
-# must merge byte-identical to the unsharded run, including the
+# Undervolting axis: a vdds x freqs cross-product sweep drained by
+# two concurrent --serve workers must merge byte-identical to a
+# plain single-threaded run, including the
 # on-curve collapse and the unreliable flags; 0.70 V sits below
 # every workload's Vmin at these clocks, so the export must carry
 # reliable=0 rows next to reliable=1 ones.
@@ -23,9 +24,12 @@ printf '%s\n' 'categories = memory, random' \
     --csv uv-ref.csv
 grep -q ',0$' uv-ref.csv   # unreliable rows exported
 grep -q ',1$' uv-ref.csv   # reliable rows too
-for s in 0 1; do
-    "$bin" --spec uv.spec --shard "$s/2" --cache-dir pool --quiet
-done
+"$bin" --spec uv.spec --serve --threads 2 --claim-poll 0.1 \
+    --cache-dir pool --quiet &
+worker_a=$!
+"$bin" --spec uv.spec --serve --threads 2 --claim-poll 0.1 \
+    --cache-dir pool --quiet
+wait "$worker_a"
 "$bin" --cache-dir pool --merge --csv uv-merged.csv --quiet
 cmp uv-ref.csv uv-merged.csv
 

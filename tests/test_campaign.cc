@@ -828,145 +828,53 @@ TEST(CampaignManifest, RejectsNonPositiveConfig)
 }
 
 // ---------------------------------------------------------------
-// Shard parsing and partitioning
+// Progress key; the retired shard key
 
-TEST(CampaignSpec, ShardAndProgressKeysParse)
+TEST(CampaignSpec, ProgressKeyParses)
 {
     CampaignSpec spec = parseCampaignSpecText(
-        "shard = 2/5\n"
-        "progress_seconds = 0.5\n",
-        "<test>");
-    EXPECT_EQ(spec.shardIndex, 2);
-    EXPECT_EQ(spec.shardCount, 5);
-    EXPECT_TRUE(spec.sharded());
+        "progress_seconds = 0.5\n", "<test>");
     EXPECT_EQ(spec.progressSeconds, 0.5);
-    // Defaults: unsharded.
-    CampaignSpec def = parseCampaignSpecText("", "<test>");
-    EXPECT_FALSE(def.sharded());
-    EXPECT_EQ(def.shardIndex, 0);
-    EXPECT_EQ(def.shardCount, 1);
 }
 
 TEST(CampaignSpecDeath, BadShardFatal)
 {
-    EXPECT_EXIT(parseCampaignSpecText("shard = 3\n", "<test>"),
-                testing::ExitedWithCode(1), "bad shard");
-    EXPECT_EXIT(parseCampaignSpecText("shard = 2/2\n", "<test>"),
-                testing::ExitedWithCode(1), "out of range");
-    EXPECT_EXIT(parseCampaignSpecText("shard = 0/0\n", "<test>"),
-                testing::ExitedWithCode(1), "count must be >= 1");
-    EXPECT_EXIT(parseCampaignSpecText("shard = -1/2\n", "<test>"),
-                testing::ExitedWithCode(1), "out of range");
-}
-
-TEST(CampaignShard, IndicesPartitionStably)
-{
-    for (int count : {1, 2, 3, 5}) {
-        std::vector<char> seen(17, 0);
-        for (int index = 0; index < count; ++index)
-            for (size_t i : shardIndices(17, index, count)) {
-                EXPECT_EQ(i % static_cast<size_t>(count),
-                          static_cast<size_t>(index));
-                EXPECT_EQ(seen[i], 0) << "overlap at " << i;
-                seen[i] = 1;
-            }
-        for (size_t i = 0; i < seen.size(); ++i)
-            EXPECT_EQ(seen[i], 1) << "hole at " << i;
-    }
+    // Static sharding is gone: a spec that still asks for a slice
+    // must fail loudly, never run the whole campaign.
+    EXPECT_EXIT(parseCampaignSpecText("shard = 0/2\n", "<test>"),
+                testing::ExitedWithCode(1),
+                "unknown campaign key 'shard'");
 }
 
 // ---------------------------------------------------------------
-// Sharded execution: union == unsharded, merge bit-identity
+// Merge of an incomplete cache
 
-TEST(CampaignShard, UnionEqualsUnshardedAndMergeIsBitIdentical)
-{
-    Fixture f;
-
-    // Serial unsharded reference.
-    CampaignSpec ref_spec = tinySpec();
-    ref_spec.threads = 1;
-    ref_spec.cacheDir = freshCacheDir("shard-ref");
-    Campaign ref(f.machine, ref_spec);
-    CampaignResult r = ref.run(f.arch);
-    EXPECT_EQ(r.totalJobs, r.jobs.size());
-    std::ostringstream ref_csv;
-    exportSamplesCsv(ref_csv, r.samples);
-
-    for (int count : {2, 3}) {
-        CampaignSpec spec = tinySpec();
-        spec.cacheDir =
-            freshCacheDir(cat("shard-", count, "way"));
-        spec.shardCount = count;
-
-        std::set<uint64_t> seen;
-        size_t slice_total = 0;
-        for (int index = 0; index < count; ++index) {
-            spec.shardIndex = index;
-            Campaign shard(f.machine, spec);
-            CampaignResult sr = shard.run(f.arch);
-            EXPECT_EQ(sr.totalJobs, r.jobs.size()) << index;
-            // Fresh cache: every slice job is measured here, and
-            // no slice overlaps another.
-            EXPECT_EQ(sr.cacheHits, 0u) << index;
-            slice_total += sr.jobs.size();
-            for (size_t i = 0; i < sr.jobs.size(); ++i) {
-                EXPECT_TRUE(seen.insert(sr.jobs[i].key).second)
-                    << "key measured twice in shard " << index;
-                EXPECT_EQ(sr.samples[i].workload,
-                          r.workloads[sr.jobs[i].workload]
-                              .program.name);
-            }
-        }
-        // Union of the slices is exactly the unsharded job list.
-        EXPECT_EQ(slice_total, r.jobs.size());
-        for (const auto &job : r.jobs)
-            EXPECT_EQ(seen.count(job.key), 1u);
-
-        // Merge: manifest + cache reassemble the full campaign,
-        // and its export is byte-identical to the unsharded run.
-        CampaignManifest m;
-        ASSERT_TRUE(loadManifest(manifestPath(spec.cacheDir), m));
-        ASSERT_EQ(m.entries.size(), r.jobs.size());
-        ResultCache cache(spec.cacheDir);
-        ManifestCollection col = collectManifestSamples(m, cache);
-        EXPECT_TRUE(col.missing.empty());
-        std::ostringstream merged_csv;
-        exportSamplesCsv(merged_csv, col.samples);
-        EXPECT_EQ(merged_csv.str(), ref_csv.str())
-            << count << "-way merge not bit-identical";
-    }
-}
-
-TEST(CampaignShard, IncompleteMergeReportsMissing)
+TEST(CampaignMerge, IncompleteMergeReportsMissing)
 {
     Fixture f;
     CampaignSpec spec = tinySpec();
-    spec.cacheDir = freshCacheDir("shard-partial");
-    spec.shardCount = 2;
-    spec.shardIndex = 0;
-    Campaign shard0(f.machine, spec);
-    CampaignResult sr = shard0.run(f.arch);
+    spec.cacheDir = freshCacheDir("merge-partial");
+    Campaign c(f.machine, spec);
+    CampaignResult r = c.run(f.arch);
+    ASSERT_GE(r.jobs.size(), 4u);
+
+    // Drop every third cached result: exactly those jobs must come
+    // back missing, and the rest as samples in manifest order.
+    ResultCache cache(spec.cacheDir);
+    std::set<uint64_t> removed;
+    for (size_t i = 0; i < r.jobs.size(); i += 3) {
+        ASSERT_TRUE(std::filesystem::remove(cache.pathOf(r.jobs[i].key)));
+        removed.insert(r.jobs[i].key);
+    }
 
     CampaignManifest m;
     ASSERT_TRUE(loadManifest(manifestPath(spec.cacheDir), m));
-    ResultCache cache(spec.cacheDir);
     ManifestCollection col = collectManifestSamples(m, cache);
-    // Exactly the other shard's jobs are missing.
-    EXPECT_EQ(col.missing.size(),
-              sr.totalJobs - sr.jobs.size());
-    EXPECT_EQ(col.samples.size(), sr.jobs.size());
+    std::set<uint64_t> missing;
     for (const auto &e : col.missing)
-        EXPECT_TRUE(cache.contains(e.key) == false);
-}
-
-TEST(CampaignShardDeath, ShardWithoutCacheFatal)
-{
-    Fixture f;
-    CampaignSpec spec = tinySpec();
-    spec.shardCount = 2;
-    EXPECT_EXIT(Campaign(f.machine, spec),
-                testing::ExitedWithCode(1),
-                "needs a cache directory");
+        EXPECT_TRUE(missing.insert(e.key).second);
+    EXPECT_EQ(missing, removed);
+    EXPECT_EQ(col.samples.size(), r.jobs.size() - removed.size());
 }
 
 // ---------------------------------------------------------------
@@ -1006,74 +914,6 @@ TEST(CampaignMeasure, WritesAndAccumulatesManifest)
         EXPECT_EQ(m2.entries[i].key, m.entries[i].key) << i;
 }
 
-TEST(CampaignMeasure, ShardedMeasureFillsOffShardFromCache)
-{
-    Fixture f;
-    auto progs = f.programs(3);
-    std::vector<ChipConfig> cfgs = {{1, 1}, {2, 1}};
-
-    // Unsharded reference (no cache: pure measurement).
-    Campaign ref(f.machine, tinySpec());
-    auto want = ref.measure(progs, cfgs);
-
-    CampaignSpec spec = tinySpec();
-    spec.cacheDir = freshCacheDir("measure-shard");
-    spec.shardCount = 2;
-
-    // Which slots shard 0 owns is the cost-striped partition — a
-    // pure function of the expanded job list, reproducible here
-    // with the same default cost model the engine uses.
-    JobCostModel model;
-    std::vector<double> costs;
-    for (const auto &p : progs)
-        for (const auto &cfg : cfgs)
-            costs.push_back(model.estimate(cfg, p.body.size()));
-    std::set<size_t> mine;
-    for (size_t i : costStripedShard(costs, 0, 2))
-        mine.insert(i);
-    EXPECT_FALSE(mine.empty());
-    EXPECT_LT(mine.size(), costs.size());
-
-    // Shard 0 on a cold cache: its slice matches the reference,
-    // off-shard slots are placeholders (nothing measured them yet)
-    // with the right workload/config.
-    spec.shardIndex = 0;
-    Campaign c0(f.machine, spec);
-    auto got0 = c0.measure(progs, cfgs);
-    ASSERT_EQ(got0.size(), want.size());
-    for (size_t i = 0; i < got0.size(); ++i) {
-        EXPECT_EQ(got0[i].workload, want[i].workload) << i;
-        EXPECT_EQ(got0[i].config.cores, want[i].config.cores) << i;
-        if (mine.count(i))
-            EXPECT_TRUE(samplesEqual(got0[i], want[i])) << i;
-        else
-            EXPECT_EQ(got0[i].powerWatts, 0.0) << i;
-    }
-
-    // Shard 1 completes the cache; an unsharded all-hit pass now
-    // reproduces the reference everywhere.
-    spec.shardIndex = 1;
-    Campaign c1(f.machine, spec);
-    c1.measure(progs, cfgs);
-
-    CampaignSpec full = tinySpec();
-    full.cacheDir = spec.cacheDir;
-    Campaign cf(f.machine, full);
-    auto got = cf.measure(progs, cfgs);
-    EXPECT_EQ(cf.cacheMisses(), 0u);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i)
-        EXPECT_TRUE(samplesEqual(got[i], want[i])) << i;
-
-    // ...and shard 0 re-run against the warm cache returns the
-    // reference everywhere too (off-shard slots fill from cache).
-    spec.shardIndex = 0;
-    Campaign c0b(f.machine, spec);
-    auto got0b = c0b.measure(progs, cfgs);
-    for (size_t i = 0; i < got0b.size(); ++i)
-        EXPECT_TRUE(samplesEqual(got0b[i], want[i])) << i;
-}
-
 // ---------------------------------------------------------------
 // Progress reporting
 
@@ -1111,7 +951,7 @@ TEST(CampaignProgress, PeriodicLinesReportCounts)
 }
 
 // ---------------------------------------------------------------
-// Job cost model and cost-striped sharding
+// Job cost model and longest-first draining
 
 TEST(JobCost, ScalesWithDeployedThreadsAndBody)
 {
@@ -1127,155 +967,6 @@ TEST(JobCost, ScalesWithDeployedThreadsAndBody)
     EXPECT_NEAR(m.estimate({8, 4}, 1 << 20) /
                     m.estimate({1, 1}, 1 << 20),
                 32.0, 0.1);
-}
-
-TEST(CostStripe, PartitionsDisjointlyAndDeterministically)
-{
-    std::vector<double> costs = {32, 1, 1, 1, 16, 2, 8, 1, 4, 1};
-    for (int count : {1, 2, 3, 4}) {
-        auto shards = costStripedPartition(costs, count);
-        ASSERT_EQ(shards.size(), static_cast<size_t>(count));
-        std::vector<char> seen(costs.size(), 0);
-        for (const auto &s : shards) {
-            // Ascending index order within a shard.
-            for (size_t k = 1; k < s.size(); ++k)
-                EXPECT_LT(s[k - 1], s[k]);
-            for (size_t i : s) {
-                EXPECT_EQ(seen[i], 0) << "overlap at " << i;
-                seen[i] = 1;
-            }
-        }
-        for (size_t i = 0; i < seen.size(); ++i)
-            EXPECT_EQ(seen[i], 1) << "hole at " << i;
-        // Pure function of the costs: recomputing (as every shard
-        // of a campaign does independently) yields the identical
-        // partition, and the single-shard accessor agrees.
-        EXPECT_EQ(shards, costStripedPartition(costs, count));
-        for (int s = 0; s < count; ++s)
-            EXPECT_EQ(shards[static_cast<size_t>(s)],
-                      costStripedShard(costs, s, count));
-    }
-}
-
-TEST(CostStripe, BalancesSkewedCostsBetterThanRoundRobin)
-{
-    // The adversarial round-robin case: every sixth job is heavy
-    // (an 8-4 config, ~32x a 1-1 job) — index-residue striping
-    // piles every heavy job onto one shard for both 2 and 3 shards
-    // (6 is divisible by both).
-    JobCostModel m;
-    std::vector<double> costs;
-    for (int i = 0; i < 24; ++i)
-        costs.push_back(i % 6 == 0 ? m.estimate({8, 4}, 4096)
-                                   : m.estimate({1, 1}, 4096));
-    for (int count : {2, 3}) {
-        auto striped = costStripedPartition(costs, count);
-        std::vector<std::vector<size_t>> rr;
-        for (int s = 0; s < count; ++s)
-            rr.push_back(shardIndices(costs.size(), s, count));
-        double striped_ratio = costImbalance(costs, striped);
-        double rr_ratio = costImbalance(costs, rr);
-        EXPECT_LT(striped_ratio, rr_ratio) << count;
-        // LPT is essentially perfect at 2 shards (heavies split
-        // evenly); at 3 shards the 4th heavy job forces ~1.5, the
-        // optimum for this instance — while round-robin piles all
-        // four onto one shard (ratio > 10).
-        EXPECT_LT(striped_ratio, count == 2 ? 1.1 : 2.0) << count;
-        EXPECT_GT(rr_ratio, 10.0) << count;
-    }
-}
-
-TEST(CostStripe, ImbalanceEdgeCases)
-{
-    EXPECT_EQ(costImbalance({}, {}), 1.0);
-    // Fewer jobs than shards: an empty shard is infinitely
-    // imbalanced (the planner must surface that, not hide it).
-    std::vector<double> one = {5.0};
-    auto shards = costStripedPartition(one, 3);
-    EXPECT_TRUE(std::isinf(costImbalance(one, shards)));
-    // All-empty shards (no jobs at all) are "balanced".
-    std::vector<double> none;
-    EXPECT_EQ(costImbalance(none, costStripedPartition(none, 2)),
-              1.0);
-}
-
-TEST(CampaignShard, SkewedConfigUnionAndMergeBitIdentical)
-{
-    // The satellite acceptance case: deliberately skewed configs
-    // (8-4 jobs cost ~32x the 1-1 jobs) still union to exactly the
-    // unsharded campaign, and the merged export is byte-identical
-    // to the serial unsharded reference.
-    Fixture f;
-    // Six configs with the heavy 8-4 first: in the workload-major
-    // job list the heavy jobs land at indices = 0 mod 6, the
-    // residue class round-robin striping dumps onto a single shard
-    // at both 2 and 3 shards.
-    auto skewed = [&]() {
-        CampaignSpec spec = tinySpec();
-        spec.configs = {{8, 4}, {1, 1}, {1, 2},
-                        {2, 1}, {1, 4}, {2, 2}};
-        return spec;
-    };
-
-    CampaignSpec ref_spec = skewed();
-    ref_spec.threads = 1;
-    ref_spec.cacheDir = freshCacheDir("skew-ref");
-    Campaign ref(f.machine, ref_spec);
-    CampaignResult r = ref.run(f.arch);
-    std::ostringstream ref_csv;
-    exportSamplesCsv(ref_csv, r.samples);
-
-    for (int count : {2, 3}) {
-        CampaignSpec spec = skewed();
-        spec.cacheDir = freshCacheDir(cat("skew-", count, "way"));
-        spec.shardCount = count;
-
-        std::set<uint64_t> seen;
-        size_t slice_total = 0;
-        double min_cost = 1e300, max_cost = 0.0;
-        for (int index = 0; index < count; ++index) {
-            spec.shardIndex = index;
-            Campaign shard(f.machine, spec);
-            CampaignResult sr = shard.run(f.arch);
-            EXPECT_EQ(sr.totalJobs, r.jobs.size()) << index;
-            EXPECT_EQ(sr.cacheHits, 0u) << index;
-            slice_total += sr.jobs.size();
-            double cost = 0.0;
-            for (const auto &job : sr.jobs) {
-                cost += job.cost;
-                EXPECT_TRUE(seen.insert(job.key).second)
-                    << "key measured twice in shard " << index;
-            }
-            min_cost = std::min(min_cost, cost);
-            max_cost = std::max(max_cost, cost);
-        }
-        EXPECT_EQ(slice_total, r.jobs.size());
-        for (const auto &job : r.jobs)
-            EXPECT_EQ(seen.count(job.key), 1u);
-
-        // Cost balance: the striped shards must beat round-robin
-        // on this skew, by construction of the config order.
-        std::vector<double> costs;
-        for (const auto &job : r.jobs)
-            costs.push_back(job.cost);
-        std::vector<std::vector<size_t>> rr;
-        for (int s = 0; s < count; ++s)
-            rr.push_back(shardIndices(costs.size(), s, count));
-        EXPECT_LT(max_cost / min_cost, costImbalance(costs, rr))
-            << count;
-
-        // Merge: byte-identical to the unsharded serial export.
-        CampaignManifest m;
-        ASSERT_TRUE(loadManifest(manifestPath(spec.cacheDir), m));
-        ASSERT_EQ(m.entries.size(), r.jobs.size());
-        ResultCache cache(spec.cacheDir);
-        ManifestCollection col = collectManifestSamples(m, cache);
-        EXPECT_TRUE(col.missing.empty());
-        std::ostringstream merged_csv;
-        exportSamplesCsv(merged_csv, col.samples);
-        EXPECT_EQ(merged_csv.str(), ref_csv.str())
-            << count << "-way skewed merge not bit-identical";
-    }
 }
 
 TEST(CampaignMeasure, LongestFirstDrainKeepsExportBytes)
@@ -1300,38 +991,6 @@ TEST(CampaignMeasure, LongestFirstDrainKeepsExportBytes)
     std::ostringstream b;
     exportSamplesCsv(b, c4.measure(progs, cfgs));
     EXPECT_EQ(a.str(), b.str());
-}
-
-TEST(CampaignPlan, DryRunPartitionsWithoutMeasuring)
-{
-    Fixture f;
-    CampaignSpec spec = tinySpec();
-    spec.configs = {{8, 4}, {1, 1}, {4, 2}};
-    Campaign c(f.machine, spec);
-    CampaignPlan plan = c.plan(f.arch, 3);
-
-    EXPECT_EQ(plan.totalJobs,
-              plan.workloads.size() * spec.configs.size());
-    ASSERT_EQ(plan.shards.size(), 3u);
-    ASSERT_EQ(plan.roundRobin.size(), 3u);
-    // Shards cover the job list disjointly; costs add up.
-    std::vector<char> seen(plan.totalJobs, 0);
-    double shard_cost = 0.0;
-    for (const auto &sp : plan.shards) {
-        shard_cost += sp.cost;
-        for (size_t i : sp.jobs) {
-            EXPECT_EQ(seen[i], 0);
-            seen[i] = 1;
-        }
-    }
-    for (size_t i = 0; i < seen.size(); ++i)
-        EXPECT_EQ(seen[i], 1) << i;
-    EXPECT_DOUBLE_EQ(shard_cost, plan.totalCost);
-    // The skewed config mix is exactly what round-robin balances
-    // poorly and LPT balances well.
-    EXPECT_LE(plan.stripedImbalance, plan.roundRobinImbalance);
-    // Dry run: nothing measured, nothing cached.
-    EXPECT_EQ(c.cacheHits() + c.cacheMisses(), 0u);
 }
 
 // ---------------------------------------------------------------
@@ -1573,51 +1232,6 @@ TEST(CampaignManifest, FreqSuffixRoundTripsAndRejectsCorrupt)
         CampaignManifest u;
         EXPECT_FALSE(manifestFromText(broken, u)) << bad;
     }
-}
-
-TEST(CampaignShard, ShardedFreqSweepMergesBitIdentical)
-{
-    // The acceptance bar: a sharded frequency-sweep campaign
-    // assembles byte-identically to the unsharded run.
-    Fixture f;
-    auto sweep_spec = []() {
-        CampaignSpec spec = tinySpec();
-        spec.configs = {{1, 1}, {2, 2}};
-        spec.freqs = {2.0, 3.0, 3.5};
-        return spec;
-    };
-
-    CampaignSpec ref_spec = sweep_spec();
-    ref_spec.threads = 1;
-    ref_spec.cacheDir = freshCacheDir("freq-shard-ref");
-    Campaign ref(f.machine, ref_spec);
-    CampaignResult r = ref.run(f.arch);
-    EXPECT_EQ(r.totalJobs, r.workloads.size() * 2 * 3);
-    std::ostringstream ref_csv;
-    exportSamplesCsv(ref_csv, r.samples);
-
-    CampaignSpec spec = sweep_spec();
-    spec.cacheDir = freshCacheDir("freq-shard");
-    spec.shardCount = 2;
-    std::set<uint64_t> seen;
-    for (int index = 0; index < 2; ++index) {
-        spec.shardIndex = index;
-        Campaign shard(f.machine, spec);
-        CampaignResult sr = shard.run(f.arch);
-        EXPECT_EQ(sr.cacheHits, 0u) << index;
-        for (const auto &job : sr.jobs)
-            EXPECT_TRUE(seen.insert(job.key).second);
-    }
-    EXPECT_EQ(seen.size(), r.jobs.size());
-
-    CampaignManifest m;
-    ASSERT_TRUE(loadManifest(manifestPath(spec.cacheDir), m));
-    ResultCache cache(spec.cacheDir);
-    ManifestCollection col = collectManifestSamples(m, cache);
-    EXPECT_TRUE(col.missing.empty());
-    std::ostringstream merged_csv;
-    exportSamplesCsv(merged_csv, col.samples);
-    EXPECT_EQ(merged_csv.str(), ref_csv.str());
 }
 
 // ---------------------------------------------------------------
@@ -1885,55 +1499,6 @@ TEST(CampaignManifest, VddSuffixRoundTripsAndRejectsCorrupt)
     }
 }
 
-TEST(CampaignShard, ShardedVddFreqSweepMergesBitIdentical)
-{
-    // The acceptance bar: a sharded vdd x freq cross-product
-    // campaign assembles byte-identically to the unsharded run —
-    // including the on-curve collapse (1.0 V is the curve voltage
-    // at 3.0 GHz but off-curve at 2.5 GHz) and any unreliable
-    // flags.
-    Fixture f;
-    auto sweep_spec = []() {
-        CampaignSpec spec = tinySpec();
-        spec.configs = {{1, 1}, {2, 2}};
-        spec.freqs = {2.5, 3.0};
-        spec.vdds = {0.90, 1.0};
-        return spec;
-    };
-
-    CampaignSpec ref_spec = sweep_spec();
-    ref_spec.threads = 1;
-    ref_spec.cacheDir = freshCacheDir("vdd-shard-ref");
-    Campaign ref(f.machine, ref_spec);
-    CampaignResult r = ref.run(f.arch);
-    EXPECT_EQ(r.totalJobs, r.workloads.size() * 2 * 2 * 2);
-    std::ostringstream ref_csv;
-    exportSamplesCsv(ref_csv, r.samples);
-
-    CampaignSpec spec = sweep_spec();
-    spec.cacheDir = freshCacheDir("vdd-shard");
-    spec.shardCount = 2;
-    std::set<uint64_t> seen;
-    for (int index = 0; index < 2; ++index) {
-        spec.shardIndex = index;
-        Campaign shard(f.machine, spec);
-        CampaignResult sr = shard.run(f.arch);
-        EXPECT_EQ(sr.cacheHits, 0u) << index;
-        for (const auto &job : sr.jobs)
-            EXPECT_TRUE(seen.insert(job.key).second);
-    }
-    EXPECT_EQ(seen.size(), r.jobs.size());
-
-    CampaignManifest m;
-    ASSERT_TRUE(loadManifest(manifestPath(spec.cacheDir), m));
-    ResultCache cache(spec.cacheDir);
-    ManifestCollection col = collectManifestSamples(m, cache);
-    EXPECT_TRUE(col.missing.empty());
-    std::ostringstream merged_csv;
-    exportSamplesCsv(merged_csv, col.samples);
-    EXPECT_EQ(merged_csv.str(), ref_csv.str());
-}
-
 // ---------------------------------------------------------------
 // Progress ETA and cost-model calibration
 
@@ -2006,6 +1571,47 @@ TEST(JobCost, CalibrationRefusesDegenerateInput)
     std::vector<JobTiming> flat = {{{1, 1}, 256, 0.1, false},
                                    {{1, 1}, 256, 0.2, false}};
     EXPECT_FALSE(calibrateJobCostModel(flat).ok);
+}
+
+TEST(JobCost, CalibrationVerdictAgainstShippedDefault)
+{
+    // Tiny jobs dominated by noise: the fitted intercept is
+    // negative, perJob clamps to 0, and a fit that calls every
+    // job's overhead free must not read as confirming the shipped
+    // default.
+    std::vector<JobTiming> noisy;
+    for (size_t body : {2048u, 4096u, 8192u})
+        noisy.push_back({{1, 1}, body,
+                         -1e-5 + 1e-8 * static_cast<double>(body), false});
+    CostCalibration cal = calibrateJobCostModel(noisy);
+    ASSERT_TRUE(cal.ok);
+    EXPECT_LT(cal.perJobSeconds, 0.0);
+    EXPECT_EQ(cal.fitted.perJob, 0.0);
+    EXPECT_FALSE(perJobWithinDefault(cal.fitted)) << "differs";
+
+    // Timings whose normalized intercept lands at the shipped 64:
+    // within.
+    const double b = 1e-8, a = 64.0 * b;
+    std::vector<JobTiming> match;
+    for (int smt : {1, 2, 4})
+        for (size_t body : {256u, 1024u, 4096u})
+            match.push_back({{1, smt}, body,
+                             a + b * smt * static_cast<double>(body), false});
+    cal = calibrateJobCostModel(match);
+    ASSERT_TRUE(cal.ok);
+    EXPECT_NEAR(cal.fitted.perJob, 64.0, 1e-3);
+    EXPECT_TRUE(perJobWithinDefault(cal.fitted)) << "within";
+
+    // The 2x band is inclusive at both ends, exclusive past them.
+    JobCostModel m;
+    for (double pj : {32.0, 128.0}) {
+        m.perJob = pj;
+        EXPECT_TRUE(perJobWithinDefault(m)) << pj;
+    }
+    for (double pj : {31.0, 129.0}) {
+        m.perJob = pj;
+        EXPECT_FALSE(perJobWithinDefault(m)) << pj;
+    }
 }
 
 TEST(CampaignFingerprint, CorpusTagSeparatesManifests)

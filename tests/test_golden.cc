@@ -5,12 +5,13 @@
  * self-consistent.
  *
  * Pinned: the CSV exports of three campaign specs (the CI perf
- * spec, the DVFS sweep spec and the vdds x freqs undervolt spec),
- * the sorted cache-key listings of the perf and undervolt specs
- * (the perf one at one and two threads), the core-sim
- * counter vectors of the test_core_sim corpus at SMT 1/2/4 and two
- * memory latencies, and the heterogeneous SMT co-runs of
- * test_extensions and bench_fig9.
+ * spec, the DVFS sweep spec and the vdds x freqs undervolt spec;
+ * the last two also as a --serve worker's export and as the
+ * --merge of its cache, against the same digests), the sorted
+ * cache-key listings of the perf and undervolt specs (the perf one
+ * at one and two threads), the core-sim counter vectors of the
+ * test_core_sim corpus at SMT 1/2/4 and two memory latencies, and
+ * the heterogeneous SMT co-runs of test_extensions and bench_fig9.
  *
  * A change that moves any of these fails here and prints the
  * actual digest as a line to paste over the committed one. That is
@@ -30,6 +31,7 @@
 
 #include "campaign/campaign.hh"
 #include "campaign/export.hh"
+#include "campaign/manifest.hh"
 #include "microprobe/bootstrap.hh"
 #include "microprobe/cache_model.hh"
 #include "microprobe/passes.hh"
@@ -115,15 +117,17 @@ const char *const kUndervoltSpec = "categories = memory, random\n"
                                    "threads = 1\n";
 
 /** Run @p spec_text as mprobe_campaign does, on @p threads workers
- * (0 keeps the spec's own count); return its CSV. */
+ * (0 keeps the spec's own count), as a --serve worker when
+ * @p serve; return its CSV. */
 std::string
 campaignCsv(const char *spec_text, const std::string &cache_dir = "",
-            int threads = 0)
+            int threads = 0, bool serve = false)
 {
     CampaignSpec spec = parseCampaignSpecText(spec_text, "golden");
     spec.cacheDir = cache_dir;
     if (threads > 0)
         spec.threads = threads;
+    spec.serve = serve;
     Architecture arch = Architecture::get("POWER7");
     Machine machine(arch.isa(), arch.uarch().cacheGeometries(),
                     arch.uarch().clockGhz());
@@ -150,6 +154,31 @@ cacheListing(const std::string &dir)
     return listing;
 }
 
+/**
+ * Run @p spec_text as a two-thread --serve worker on a fresh cache
+ * directory, then assemble the export from that directory as
+ * --merge does: both CSVs must match golden @p name, the digest of
+ * the plain single-thread run.
+ */
+void
+expectServeAndMergeGolden(const char *spec_text,
+                          const std::string &name,
+                          const std::string &dir)
+{
+    std::filesystem::remove_all(dir);
+    expectGolden(name, hashStr(campaignCsv(spec_text, dir, 2, true)));
+
+    CampaignManifest m;
+    ASSERT_TRUE(loadManifest(manifestPath(dir), m));
+    ResultCache cache(dir);
+    ManifestCollection col = collectManifestSamples(m, cache);
+    EXPECT_TRUE(col.missing.empty());
+    std::ostringstream merged;
+    exportSamplesCsv(merged, col.samples);
+    expectGolden(name, hashStr(merged.str()));
+    std::filesystem::remove_all(dir);
+}
+
 } // namespace
 
 TEST(Golden, PerfSpecExportAndCacheKeys)
@@ -174,6 +203,14 @@ TEST(Golden, SweepSpecExport)
     expectGolden("campaign.sweep.csv", hashStr(campaignCsv(kSweepSpec)));
 }
 
+TEST(Golden, SweepSpecServeAndMergeExports)
+{
+    setLogLevel(LogLevel::Quiet);
+    expectServeAndMergeGolden(
+        kSweepSpec, "campaign.sweep.csv",
+        testing::TempDir() + "mprobe-golden-sweep-serve");
+}
+
 TEST(Golden, UndervoltSpecExportAndCacheKeys)
 {
     setLogLevel(LogLevel::Quiet);
@@ -188,6 +225,13 @@ TEST(Golden, UndervoltSpecExportAndCacheKeys)
     // on-curve collapse (1.0 V at 3.0 GHz keys as vdd-free).
     expectGolden("campaign.uv.keys", hashStr(cacheListing(dir)));
     std::filesystem::remove_all(dir);
+}
+
+TEST(Golden, UndervoltSpecServeAndMergeExports)
+{
+    setLogLevel(LogLevel::Quiet);
+    expectServeAndMergeGolden(kUndervoltSpec, "campaign.uv.csv",
+                              testing::TempDir() + "mprobe-golden-uv-serve");
 }
 
 // ---------------------------------------------------------------

@@ -221,6 +221,28 @@ TEST(Service, SurvivesMalformedSpec)
         fs::exists(opts.resultsDir + "/broken/samples.csv"));
 }
 
+TEST(Service, RejectsRetiredShardKey)
+{
+    // Static sharding is gone: a dropped spec that still asks for
+    // a slice is rejected like any malformed spec, never run whole.
+    ServiceOptions opts = testOptions("shard-key");
+    writeFile(opts.dropDir + "/sliced.spec",
+              tinySpecText(2) + "shard = 0/2\n");
+    writeFile(opts.dropDir + "/good.spec", tinySpecText(2));
+
+    CampaignService service(opts);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(service.run(), 1u);
+    std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("unknown campaign key 'shard'"),
+              std::string::npos)
+        << err;
+    EXPECT_TRUE(
+        fs::exists(opts.resultsDir + "/good/samples.csv"));
+    EXPECT_FALSE(
+        fs::exists(opts.resultsDir + "/sliced/samples.csv"));
+}
+
 TEST(Service, IngestsSpecsWhileRunning)
 {
     ServiceOptions opts = testOptions("async");

@@ -631,7 +631,7 @@ TEST(AtomicWriteFile, FailedRenameRemovesTemp)
 {
     // Make the final rename fail by using a non-empty directory as
     // the target path: the temp write succeeds, the publish
-    // cannot. The temp must not be leaked — shard runs share cache
+    // cannot. The temp must not be leaked — serve workers share cache
     // directories, and leaked .tmp.<pid>.<tid> files would
     // accumulate across processes.
     std::filesystem::path dir =

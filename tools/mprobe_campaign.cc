@@ -11,8 +11,6 @@
  *   mprobe-campaign --spec train.spec --cache-dir .mprobe-cache \
  *                   --resume
  *   mprobe-campaign --spec train.spec --cache-dir shared \
- *                   --shard 0/2          # and 1/2 elsewhere
- *   mprobe-campaign --spec train.spec --cache-dir shared \
  *                   --serve              # on every fleet host
  *   mprobe-campaign --cache-dir shared --merge --csv samples.csv
  */
@@ -280,10 +278,7 @@ runCalibrate(const std::string &metrics_path)
               << TextTable::num(cal.fitted.perJob, 1)
               << " slot-units (shipped default "
               << TextTable::num(def.perJob, 1) << ")\n";
-    double rel = def.perJob > 0
-                     ? cal.fitted.perJob / def.perJob
-                     : 0.0;
-    if (rel > 2.0 || (rel > 0 && rel < 0.5))
+    if (!perJobWithinDefault(cal.fitted))
         std::cout << "the fitted per-job overhead differs from "
                      "the shipped default by more than 2x on "
                      "this host; consider updating "
@@ -295,12 +290,12 @@ runCalibrate(const std::string &metrics_path)
 }
 
 /**
- * The merge step of a sharded or served campaign: read the
- * manifest, verify every job key has a cached result, and export
- * the unified sample set in manifest (= job) order — byte identical
- * to the export of the same campaign run unsharded. Exits the
- * process (no measurement happens on this path) with a distinct,
- * scriptable code per failure mode:
+ * The merge step of a served campaign: read the manifest, verify
+ * every job key has a cached result, and export the unified sample
+ * set in manifest (= job) order — byte identical to the export of
+ * the same campaign run plainly. Exits the process (no measurement
+ * happens on this path) with a distinct, scriptable code per
+ * failure mode:
  *
  *   0  complete; export written
  *   3  the cache directory does not exist
@@ -315,7 +310,7 @@ runMerge(const std::string &cache_dir,
     if (cache_dir.empty())
         fatal("--merge needs a cache directory (--cache-dir or "
               "cache_dir in the spec): the manifest and the "
-              "shard results live there");
+              "results live there");
     // Probe existence before constructing a ResultCache: its
     // constructor creates the directory, which would silently turn
     // a mistyped path into "no manifest" plus an empty directory.
@@ -330,9 +325,9 @@ runMerge(const std::string &cache_dir,
     CampaignManifest m;
     if (!loadManifest(manifestPath(mdir), m)) {
         std::cout << "merge: no manifest under '" << mdir
-                  << "' — run the campaign (shards or --serve "
-                     "workers) against this cache directory "
-                     "first\n";
+                  << "' — run the campaign (plainly or with "
+                     "--serve workers) against this cache "
+                     "directory first\n";
         std::exit(4);
     }
     ResultCache cache(cache_dir);
@@ -369,9 +364,9 @@ runMerge(const std::string &cache_dir,
                          "and merge again\n";
         else
             std::cout << "no live claims — finish the campaign "
-                         "(remaining shards, --resume, or a "
-                         "--serve worker) into this cache "
-                         "directory, then merge again\n";
+                         "(--resume or a --serve worker) into "
+                         "this cache directory, then merge "
+                         "again\n";
         std::exit(5);
     }
     std::cout << "merge: " << col.samples.size()
@@ -463,20 +458,14 @@ main(int argc, char **argv)
                    "override: on-disk result cache directory");
     args.addOption("salt", "",
                    "override: extra measurement salt");
-    args.addOption("shard", "",
-                   "measure only shard i/n of the job list (e.g. "
-                   "0/4), partitioned by estimated job cost "
-                   "(cost-weighted striping; see --plan); all "
-                   "shards share --cache-dir, --merge assembles "
-                   "the union");
     args.addOption("progress-seconds", "",
                    "override: seconds between progress lines "
                    "while measuring (0 disables)");
     args.addFlag("serve",
                  "fleet mode: pull jobs from the campaign's full "
                  "pool through per-job claim files in the shared "
-                 "cache directory instead of a fixed --shard "
-                 "slice; any number of workers on any hosts "
+                 "cache directory; any number of workers on any "
+                 "hosts "
                  "cooperate, steal from dead peers after the "
                  "claim TTL, and each returns the complete "
                  "campaign");
@@ -500,16 +489,10 @@ main(int argc, char **argv)
     args.addFlag("merge",
                  "no measurement: verify every manifest job has a "
                  "cached result and export the unified samples "
-                 "(the merge step after sharded or --serve runs); "
+                 "(the merge step after --serve runs); "
                  "exits 3 when the cache dir is missing, 4 when "
                  "it has no manifest, 5 when jobs are "
                  "unfinished");
-    args.addFlag("plan",
-                 "dry run: generate and expand the campaign, print "
-                 "the cost-striped per-shard schedule (job counts, "
-                 "estimated costs, round-robin comparison) and "
-                 "exit without measuring; --shard i/n sets the "
-                 "shard count");
     args.addOption("csv", "", "export samples as CSV to this path");
     args.addOption("json", "",
                    "export samples as JSON to this path");
@@ -568,9 +551,6 @@ main(int argc, char **argv)
     if (!args.get("salt").empty())
         spec.salt = static_cast<uint64_t>(
             parseInt(args.get("salt"), "--salt"));
-    if (!args.get("shard").empty())
-        parseShard(args.get("shard"), "--shard", spec.shardIndex,
-                   spec.shardCount);
     if (args.getFlag("serve"))
         spec.serve = true;
     if (!args.get("claim-ttl").empty()) {
@@ -607,30 +587,25 @@ main(int argc, char **argv)
 
     if (args.getFlag("fleet-status")) {
         if (args.getFlag("merge") || args.getFlag("resume") ||
-            args.getFlag("plan") || spec.serve)
+            spec.serve)
             fatal("--fleet-status is a standalone step; it does "
-                  "not combine with --merge, --plan, --serve or "
-                  "--resume");
+                  "not combine with --merge, --serve or --resume");
         runFleetStatus(spec.cacheDir);
     }
 
     if (!args.get("calibrate").empty()) {
-        if (args.getFlag("merge") || args.getFlag("resume") ||
-            args.getFlag("plan"))
+        if (args.getFlag("merge") || args.getFlag("resume"))
             fatal("--calibrate is a standalone step; it does not "
-                  "combine with --merge, --plan or --resume");
+                  "combine with --merge or --resume");
         runCalibrate(args.get("calibrate"));
     }
 
     if (args.getFlag("merge")) {
-        // Check the effective spec, so a `shard =` or `serve =`
-        // key loaded from the spec file is rejected like the
-        // flags.
-        if (args.getFlag("resume") || args.getFlag("plan") ||
-            spec.sharded() || spec.serve)
+        // Check the effective spec, so a `serve =` key loaded
+        // from the spec file is rejected like the flag.
+        if (args.getFlag("resume") || spec.serve)
             fatal("--merge is a standalone step; it does not "
-                  "combine with --shard, --serve, --plan or "
-                  "--resume");
+                  "combine with --serve or --resume");
         runMerge(spec.cacheDir, spec.manifestDir,
                  spec.claimTtlSeconds, args.get("csv"),
                  args.get("json"));
@@ -641,52 +616,6 @@ main(int argc, char **argv)
     Architecture arch = Architecture::get(args.get("arch"));
     Machine machine(arch.isa(), arch.uarch().cacheGeometries(),
                     arch.uarch().clockGhz());
-
-    if (args.getFlag("plan")) {
-        if (args.getFlag("resume") || spec.serve)
-            fatal("--plan is a dry run; it does not combine with "
-                  "--resume or --serve");
-        // A plan is shard-count-generic: normalize the spec to
-        // unsharded and drop the cache directory (a dry run
-        // touches no shared state, not even a mkdir), then
-        // partition for the requested count.
-        int plan_count = spec.shardCount;
-        CampaignSpec pspec = spec;
-        pspec.shardIndex = 0;
-        pspec.shardCount = 1;
-        pspec.cacheDir.clear();
-        Campaign campaign(machine, pspec);
-        CampaignPlan plan = campaign.plan(arch, plan_count);
-
-        TextTable t({"Shard", "Jobs", "Est. cost", "Share",
-                     "Round-robin cost"});
-        for (int s = 0; s < plan_count; ++s) {
-            const auto &sp = plan.shards[static_cast<size_t>(s)];
-            const auto &rp =
-                plan.roundRobin[static_cast<size_t>(s)];
-            t.addRow({cat(s, "/", plan_count),
-                      std::to_string(sp.jobs.size()),
-                      TextTable::num(sp.cost, 0),
-                      cat(TextTable::num(plan.totalCost > 0
-                                             ? 100.0 * sp.cost /
-                                                   plan.totalCost
-                                             : 0.0,
-                                         1),
-                          "%"),
-                      TextTable::num(rp.cost, 0)});
-        }
-        t.print(std::cout);
-        std::cout << plan.totalJobs << " jobs, total estimated "
-                  << "cost " << TextTable::num(plan.totalCost, 0)
-                  << "; max/min shard cost "
-                  << TextTable::num(plan.stripedImbalance, 2)
-                  << " cost-striped vs "
-                  << TextTable::num(plan.roundRobinImbalance, 2)
-                  << " round-robin\n"
-                  << "dry run: nothing was measured (drop --plan "
-                  << "to execute)\n";
-        return 0;
-    }
 
     if (args.getFlag("resume"))
         reportResume(spec, machine.fingerprint());
@@ -727,13 +656,6 @@ main(int argc, char **argv)
                                         static_cast<double>(total),
                                     1)
                   << "% hit rate)";
-    const CampaignSpec &run_spec = campaign.specRef();
-    if (run_spec.sharded())
-        std::cout << "\nshard " << run_spec.shardIndex << "/"
-                  << run_spec.shardCount << " measured "
-                  << res.jobs.size() << " of " << res.totalJobs
-                  << " campaign jobs; run all shards into this "
-                     "cache, then --merge for the unified export";
     std::cout << "\n";
 
     if (!args.get("metrics-json").empty()) {
